@@ -1,17 +1,5 @@
-//! The algorithm selector and the deprecated borrowed-engine shim.
-//!
-//! [`AcqAlgorithm`] is the knob every executor shares. [`AcqEngine`] is the
-//! crate's original per-variant-method entry point, kept for one release as a
-//! thin `#[deprecated]` shim over the unified [`Request`]/[`Executor`]
-//! surface — new code should use [`Engine`](crate::Engine) (owning,
-//! swappable) or [`BatchEngine`](crate::exec::BatchEngine) instead.
+//! The algorithm selector every executor shares.
 
-use crate::exec::IndexCache;
-use crate::query::{AcqQuery, AcqResult, QueryError};
-use crate::request::{execute_on, Request};
-use crate::variants::{Variant1Query, Variant2Query};
-use acq_cltree::{build_advanced, ClTree};
-use acq_graph::AttributedGraph;
 use serde::{Deserialize, Serialize};
 
 /// Which ACQ algorithm to run. The index-free baselines ignore the CL-tree.
@@ -61,115 +49,9 @@ impl AcqAlgorithm {
     }
 }
 
-/// The original borrowed query engine, kept as a migration shim.
-///
-/// Every method folds its input into a [`Request`](crate::Request) and runs
-/// it through the same validation and dispatch as the unified executors, so
-/// answers stay byte-identical to [`Engine`](crate::Engine) with a disabled
-/// cache. See the `MIGRATION` section of the repository README for the
-/// old-call → builder mapping.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the owning `acq_core::Engine` (or any `Executor`) with the `Request` builder"
-)]
-#[derive(Debug)]
-pub struct AcqEngine<'g> {
-    graph: &'g AttributedGraph,
-    index: ClTree,
-}
-
-#[allow(deprecated)]
-impl<'g> AcqEngine<'g> {
-    /// Builds the engine with a freshly constructed CL-tree (`advanced`
-    /// builder, inverted lists enabled).
-    pub fn new(graph: &'g AttributedGraph) -> Self {
-        Self { graph, index: build_advanced(graph, true) }
-    }
-
-    /// Wraps an existing index (e.g. one that has been incrementally
-    /// maintained or deserialised from disk).
-    pub fn with_index(graph: &'g AttributedGraph, index: ClTree) -> Self {
-        Self { graph, index }
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &AttributedGraph {
-        self.graph
-    }
-
-    /// The CL-tree index.
-    pub fn index(&self) -> &ClTree {
-        &self.index
-    }
-
-    /// Runs the query with the default algorithm (`Dec`).
-    pub fn query(&self, query: &AcqQuery) -> Result<AcqResult, QueryError> {
-        self.query_with(query, AcqAlgorithm::default())
-    }
-
-    /// Runs the query with an explicitly chosen algorithm.
-    pub fn query_with(
-        &self,
-        query: &AcqQuery,
-        algorithm: AcqAlgorithm,
-    ) -> Result<AcqResult, QueryError> {
-        self.run(&Request::from_acq(query, algorithm))
-    }
-
-    /// Runs a Variant 1 query (exact required keyword set) with the
-    /// index-based `SW` algorithm.
-    pub fn query_variant1(&self, query: &Variant1Query) -> Result<AcqResult, QueryError> {
-        self.run(&Request::from_variant1(query))
-    }
-
-    /// Runs a Variant 2 query (threshold keyword constraint) with the
-    /// index-based `SWT` algorithm.
-    pub fn query_variant2(&self, query: &Variant2Query) -> Result<AcqResult, QueryError> {
-        self.run(&Request::from_variant2(query))
-    }
-
-    /// The shared dispatch: same validation, same algorithms as every
-    /// [`Executor`](crate::Executor), with caching disabled.
-    fn run(&self, request: &Request) -> Result<AcqResult, QueryError> {
-        execute_on(self.graph, &self.index, &IndexCache::disabled(), 0, request)
-            .map(|response| response.result)
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use acq_graph::{paper_figure3_graph, KeywordId, VertexId};
-
-    #[test]
-    fn engine_runs_every_algorithm_consistently() {
-        let g = paper_figure3_graph();
-        let engine = AcqEngine::new(&g);
-        let a = g.vertex_by_label("A").unwrap();
-        let query = AcqQuery::new(a, 2);
-        let reference = engine.query_with(&query, AcqAlgorithm::BasicG).unwrap().canonical();
-        for algorithm in AcqAlgorithm::ALL {
-            let result = engine.query_with(&query, algorithm).unwrap();
-            assert_eq!(result.canonical(), reference, "{}", algorithm.name());
-        }
-    }
-
-    #[test]
-    fn engine_validates_queries() {
-        let g = paper_figure3_graph();
-        let engine = AcqEngine::new(&g);
-        assert!(engine.query(&AcqQuery::new(VertexId(999), 2)).is_err());
-        assert!(engine.query(&AcqQuery::new(VertexId(0), 0)).is_err());
-        let v1 = Variant1Query { vertex: VertexId(999), k: 2, keywords: vec![] };
-        assert!(engine.query_variant1(&v1).is_err());
-        let v2 = Variant2Query { vertex: VertexId(0), k: 0, keywords: vec![], theta: 0.5 };
-        assert!(engine.query_variant2(&v2).is_err());
-        // The shim now shares the executors' validation: unknown keyword ids
-        // are rejected instead of passing silently.
-        let bogus = Variant1Query { vertex: VertexId(0), k: 2, keywords: vec![KeywordId(9999)] };
-        assert_eq!(engine.query_variant1(&bogus), Err(QueryError::UnknownKeyword(KeywordId(9999))));
-    }
 
     #[test]
     fn algorithm_names_match_paper() {
@@ -177,20 +59,5 @@ mod tests {
         assert_eq!(AcqAlgorithm::BasicG.name(), "basic-g");
         assert_eq!(AcqAlgorithm::IncSStar.name(), "Inc-S*");
         assert_eq!(AcqAlgorithm::default(), AcqAlgorithm::Dec);
-    }
-
-    #[test]
-    fn engine_variant_queries_work() {
-        let g = paper_figure3_graph();
-        let engine = AcqEngine::new(&g);
-        let a = g.vertex_by_label("A").unwrap();
-        let x = g.dictionary().get("x").unwrap();
-        let r1 =
-            engine.query_variant1(&Variant1Query { vertex: a, k: 2, keywords: vec![x] }).unwrap();
-        assert_eq!(r1.communities[0].len(), 4);
-        let r2 = engine
-            .query_variant2(&Variant2Query { vertex: a, k: 2, keywords: vec![x], theta: 1.0 })
-            .unwrap();
-        assert_eq!(r2.communities[0].len(), 4);
     }
 }

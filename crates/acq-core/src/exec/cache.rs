@@ -1,4 +1,5 @@
-//! The shared per-index result cache used by batch execution.
+//! The per-generation index result cache shared by every query an
+//! [`Engine`](crate::Engine) answers.
 //!
 //! Every CL-tree query algorithm spends its time in two pure primitives:
 //!
@@ -12,8 +13,8 @@
 //! keyword set, so their results can be shared across every query of a batch
 //! (and across batches) through a bounded LRU. Because the cached values are
 //! *exactly* the vectors/subsets the uncached code path would have produced —
-//! same contents, same order — caching is invisible to query results: the
-//! batch engine's output is byte-identical to the sequential engine's.
+//! same contents, same order — caching is invisible to query results: a
+//! cached engine's output is byte-identical to a cache-less one's.
 
 use crate::exec::lru::LruCache;
 use acq_cltree::{ClTree, NodeId};
@@ -113,7 +114,7 @@ pub const SEGMENT_CAPACITY_THRESHOLD: usize = 64;
 pub const MAX_SEGMENTS: usize = 8;
 
 /// A bounded, thread-safe cache for core-extraction and candidate-subtree
-/// results, shared by every worker of a [`BatchEngine`](crate::exec::BatchEngine).
+/// results, shared by every query and batch worker of one engine generation.
 ///
 /// # Lock segmentation
 ///
@@ -128,8 +129,9 @@ pub const MAX_SEGMENTS: usize = 8;
 /// uncached path would have computed).
 ///
 /// The disabled cache ([`IndexCache::disabled`]) computes everything directly
-/// and stores nothing; it is what the one-shot [`AcqEngine`](crate::AcqEngine)
-/// entry points use, so sequential queries pay no synchronisation cost.
+/// and stores nothing; it is what the free-function algorithm entry points
+/// (`dec`, `inc_s`, `sw`, …) and a `cache_capacity(0)` engine use, so
+/// sequential queries pay no synchronisation cost.
 #[derive(Debug)]
 pub struct IndexCache {
     /// Hash-sharded segments; empty = caching disabled (compute directly,

@@ -1,22 +1,22 @@
-//! Batch query execution — the serving-shaped layer over the ACQ algorithms.
+//! Shared execution machinery under every [`Executor`](crate::Executor): the
+//! bounded index cache and the ordered worker pool.
 //!
 //! The paper's evaluation (and any production deployment) runs *thousands* of
-//! queries against one immutable graph + CL-tree index. Executing them
-//! one-by-one through [`AcqEngine`](crate::AcqEngine) recomputes shared
-//! per-graph state on every call; this module factors that work out:
+//! queries against one graph + CL-tree index. [`Engine`](crate::Engine)
+//! factors the shared work out of the per-query path with the two pieces
+//! that live here:
 //!
-//! * the graph, the index and its core decomposition are computed **once**
-//!   and shared immutably (`Arc`) across all queries and worker threads;
 //! * pure index lookups — core extraction and candidate-subtree
 //!   (keyword-checking) results — are memoised in a bounded LRU
-//!   [`IndexCache`] keyed by `(node, k, keyword-set)`;
-//! * a batch fans out over a [`std::thread`] worker pool, with results
-//!   returned **in input order** regardless of scheduling.
+//!   [`IndexCache`] keyed by `(node, k, keyword-set)`, one per published
+//!   generation;
+//! * a batch fans out over a worker pool ([`pool::map_ordered`]), with
+//!   results returned **in input order** regardless of scheduling.
 //!
-//! Caching and threading are invisible to results: a [`BatchEngine`] returns
-//! byte-identical [`AcqResult`]s to a sequential [`AcqEngine`](crate::AcqEngine)
-//! loop (a property-based test in this module proves it for every algorithm
-//! and thread count).
+//! Caching and threading are invisible to results: a cached, pooled engine
+//! returns byte-identical [`AcqResult`](crate::AcqResult)s to a sequential
+//! cache-less one (`tests/property_equivalence.rs` proves it for every
+//! algorithm, thread count and a cache small enough to keep evicting).
 
 mod cache;
 mod lru;
@@ -25,474 +25,6 @@ pub mod pool;
 pub use cache::{CacheKey, CacheKind, CacheStats, IndexCache};
 pub use lru::LruCache;
 
-use crate::engine::AcqAlgorithm;
-use crate::query::{AcqQuery, AcqResult, QueryError};
-use crate::request::{execute_on, Executor, Request, Response};
-use crate::variants::{Variant1Query, Variant2Query};
-use acq_cltree::{build_advanced, ClTree};
-use acq_graph::AttributedGraph;
-use acq_kcore::SharedDecomposition;
-use acq_sync::sync::Arc;
-
-/// Default LRU bound for the shared index cache (entries, not bytes; each
-/// entry is one `Arc`'d vertex list or pool).
+/// Default LRU bound for the per-generation index cache (entries, not bytes;
+/// each entry is one `Arc`'d vertex list or pool).
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
-
-/// An ordered collection of ACQ queries, each paired with the algorithm that
-/// should answer it. Build one with [`push`](Self::push) /
-/// [`push_with`](Self::push_with) or collect it from an iterator of
-/// [`AcqQuery`]s (which assigns the default algorithm, `Dec`).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `Vec<Request>` with the `Request` builder and hand it to `Executor::execute_batch`"
-)]
-#[derive(Debug, Clone, Default)]
-pub struct QueryBatch {
-    items: Vec<(AcqQuery, AcqAlgorithm)>,
-}
-
-#[allow(deprecated)]
-impl QueryBatch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty batch with space reserved for `n` queries.
-    pub fn with_capacity(n: usize) -> Self {
-        Self { items: Vec::with_capacity(n) }
-    }
-
-    /// Appends a query answered by the default algorithm (`Dec`).
-    pub fn push(&mut self, query: AcqQuery) -> &mut Self {
-        self.push_with(query, AcqAlgorithm::default())
-    }
-
-    /// Appends a query answered by an explicitly chosen algorithm.
-    pub fn push_with(&mut self, query: AcqQuery, algorithm: AcqAlgorithm) -> &mut Self {
-        self.items.push((query, algorithm));
-        self
-    }
-
-    /// Number of queries in the batch.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the batch holds no queries.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// The queries and their algorithms, in submission order.
-    pub fn items(&self) -> &[(AcqQuery, AcqAlgorithm)] {
-        &self.items
-    }
-}
-
-#[allow(deprecated)]
-impl FromIterator<AcqQuery> for QueryBatch {
-    fn from_iter<I: IntoIterator<Item = AcqQuery>>(iter: I) -> Self {
-        Self { items: iter.into_iter().map(|q| (q, AcqAlgorithm::default())).collect() }
-    }
-}
-
-#[allow(deprecated)]
-impl FromIterator<(AcqQuery, AcqAlgorithm)> for QueryBatch {
-    fn from_iter<I: IntoIterator<Item = (AcqQuery, AcqAlgorithm)>>(iter: I) -> Self {
-        Self { items: iter.into_iter().collect() }
-    }
-}
-
-/// A multi-query ACQ engine: owns the graph and CL-tree index behind `Arc`s,
-/// shares one core decomposition and one bounded LRU cache across all
-/// queries, and fans batches out over a worker pool.
-///
-/// Unlike [`AcqEngine`](crate::AcqEngine) (which borrows its graph), a
-/// `BatchEngine` is `'static`, `Send` and `Sync` — it can be stored in a
-/// server, cloned-by-`Arc` and queried from many sessions at once.
-///
-/// The paper's Figure 3 quick-start, batched through the unified
-/// [`Executor`] door:
-///
-/// ```
-/// use acq_core::exec::BatchEngine;
-/// use acq_core::{Executor, Request};
-/// use acq_graph::paper_figure3_graph;
-/// use acq_sync::sync::Arc;
-///
-/// let graph = Arc::new(paper_figure3_graph());
-/// let engine = BatchEngine::new(Arc::clone(&graph)).with_threads(2);
-///
-/// // "For A and for B: find the community in which everyone has degree >= 2
-/// //  and shares as many of the query vertex's keywords as possible."
-/// let requests: Vec<Request> = ["A", "B"]
-///     .iter()
-///     .map(|label| Request::community(graph.vertex_by_label(label).unwrap()).k(2))
-///     .collect();
-///
-/// let results = engine.execute_batch(&requests); // input order, regardless of threads
-/// let ac = &results[0].as_ref().unwrap().communities()[0];
-/// assert_eq!(ac.member_names(&graph), vec!["A", "C", "D"]);
-/// assert_eq!(ac.label_terms(&graph), vec!["x", "y"]);
-/// ```
-#[derive(Debug)]
-pub struct BatchEngine {
-    graph: Arc<AttributedGraph>,
-    index: Arc<ClTree>,
-    decomposition: SharedDecomposition,
-    cache: IndexCache,
-    threads: usize,
-}
-
-impl BatchEngine {
-    /// Builds the engine with a freshly constructed CL-tree (`advanced`
-    /// builder, inverted lists enabled), the default cache capacity
-    /// ([`DEFAULT_CACHE_CAPACITY`]) and one worker per available core.
-    pub fn new(graph: Arc<AttributedGraph>) -> Self {
-        let index = Arc::new(build_advanced(&graph, true));
-        Self::with_index(graph, index)
-    }
-
-    /// Wraps an existing shared index (e.g. one that has been incrementally
-    /// maintained, deserialised from disk, or already used by other engines).
-    ///
-    /// The index's core decomposition is copied once here into the
-    /// [`SharedDecomposition`] handle; after construction every worker and
-    /// every [`decomposition`](Self::decomposition) caller shares that one
-    /// copy by pointer.
-    pub fn with_index(graph: Arc<AttributedGraph>, index: Arc<ClTree>) -> Self {
-        let decomposition = SharedDecomposition::new(index.decomposition().clone());
-        Self {
-            graph,
-            index,
-            decomposition,
-            cache: IndexCache::with_capacity(DEFAULT_CACHE_CAPACITY),
-            threads: 0,
-        }
-    }
-
-    /// Sets the worker count. `0` (the default) means one worker per
-    /// available core; `1` forces fully sequential execution on the calling
-    /// thread.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Bounds the shared index cache to `capacity` entries (0 disables
-    /// caching). Resets the cache contents and counters.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = IndexCache::with_capacity(capacity);
-        self
-    }
-
-    /// The shared graph.
-    pub fn graph(&self) -> &Arc<AttributedGraph> {
-        &self.graph
-    }
-
-    /// The shared CL-tree index.
-    pub fn index(&self) -> &Arc<ClTree> {
-        &self.index
-    }
-
-    /// A cheap handle to the graph's core decomposition, computed once at
-    /// construction and shareable with other components (workload selection,
-    /// metrics, …) without copying.
-    pub fn decomposition(&self) -> &SharedDecomposition {
-        &self.decomposition
-    }
-
-    /// Counters of the shared index cache (hits, misses, evictions).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Runs every query of the batch and returns the answers **in input
-    /// order** — a thin shim over [`Executor::execute_batch`].
-    #[allow(deprecated)]
-    #[deprecated(
-        since = "0.2.0",
-        note = "build `Request`s with the builder and call `Executor::execute_batch`"
-    )]
-    pub fn run(&self, batch: &QueryBatch) -> Vec<Result<AcqResult, QueryError>> {
-        let requests: Vec<Request> =
-            batch.items.iter().map(|(query, alg)| Request::from_acq(query, *alg)).collect();
-        strip_meta(self.execute_batch(&requests))
-    }
-
-    /// Convenience wrapper: runs a slice of queries with the default
-    /// algorithm (`Dec`), preserving order.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build `Request`s with the builder and call `Executor::execute_batch`"
-    )]
-    pub fn run_queries(&self, queries: &[AcqQuery]) -> Vec<Result<AcqResult, QueryError>> {
-        let requests: Vec<Request> =
-            queries.iter().map(|q| Request::from_acq(q, AcqAlgorithm::default())).collect();
-        strip_meta(self.execute_batch(&requests))
-    }
-
-    /// Runs a batch of Variant 1 queries (exact required keyword set, the
-    /// `SW` algorithm), preserving order.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Request::community(v).k(..).exact_keywords(..)` with `Executor::execute_batch`"
-    )]
-    pub fn run_variant1(&self, queries: &[Variant1Query]) -> Vec<Result<AcqResult, QueryError>> {
-        let requests: Vec<Request> = queries.iter().map(Request::from_variant1).collect();
-        strip_meta(self.execute_batch(&requests))
-    }
-
-    /// Runs a batch of Variant 2 queries (threshold keyword constraint, the
-    /// `SWT` algorithm), preserving order.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Request::community(v).k(..).keywords(..).threshold(..)` with `Executor::execute_batch`"
-    )]
-    pub fn run_variant2(&self, queries: &[Variant2Query]) -> Vec<Result<AcqResult, QueryError>> {
-        let requests: Vec<Request> = queries.iter().map(Request::from_variant2).collect();
-        strip_meta(self.execute_batch(&requests))
-    }
-}
-
-/// Reduces unified responses to the bare results the deprecated entry points
-/// used to return.
-fn strip_meta(responses: Vec<Result<Response, QueryError>>) -> Vec<Result<AcqResult, QueryError>> {
-    responses.into_iter().map(|r| r.map(|response| response.result)).collect()
-}
-
-impl Executor for BatchEngine {
-    fn execute(&self, request: &Request) -> Result<Response, QueryError> {
-        execute_on(&self.graph, &self.index, &self.cache, 0, request)
-    }
-
-    /// Fans the requests out over the engine's worker pool, answering **in
-    /// input order**.
-    fn execute_batch(&self, requests: &[Request]) -> Vec<Result<Response, QueryError>> {
-        let workers = pool::effective_threads(self.threads, requests.len());
-        pool::map_ordered(requests, workers, |_, request| {
-            execute_on(&self.graph, &self.index, &self.cache, 0, request)
-        })
-    }
-}
-
-/// Shim tests: the deprecated `QueryBatch`/`run*` entry points must keep
-/// returning byte-identical answers to the deprecated sequential `AcqEngine`
-/// until both are removed together.
-#[cfg(test)]
-#[allow(deprecated)]
-mod tests {
-    use super::*;
-    use crate::AcqEngine;
-    use acq_graph::{paper_figure3_graph, VertexId};
-
-    fn figure3_engine() -> (Arc<AttributedGraph>, BatchEngine) {
-        let graph = Arc::new(paper_figure3_graph());
-        let engine = BatchEngine::new(Arc::clone(&graph));
-        (graph, engine)
-    }
-
-    #[test]
-    fn batch_matches_sequential_engine_on_figure3() {
-        let (graph, engine) = figure3_engine();
-        let sequential = AcqEngine::with_index(&graph, (*engine.index()).as_ref().clone());
-        let mut batch = QueryBatch::new();
-        for label in ["A", "B", "C", "D", "E", "F", "G", "H", "I", "J"] {
-            let v = graph.vertex_by_label(label).unwrap();
-            for k in 1..=3 {
-                for algorithm in AcqAlgorithm::ALL {
-                    batch.push_with(AcqQuery::new(v, k), algorithm);
-                }
-            }
-        }
-        for threads in [1, 4] {
-            let runner = BatchEngine::with_index(Arc::clone(&graph), Arc::clone(engine.index()))
-                .with_threads(threads);
-            let results = runner.run(&batch);
-            assert_eq!(results.len(), batch.len());
-            for ((query, algorithm), result) in batch.items().iter().zip(&results) {
-                let expected = sequential.query_with(query, *algorithm);
-                assert_eq!(result, &expected, "threads={threads} {}", algorithm.name());
-            }
-        }
-    }
-
-    #[test]
-    fn invalid_queries_error_in_place_without_poisoning_the_batch() {
-        let (graph, engine) = figure3_engine();
-        let a = graph.vertex_by_label("A").unwrap();
-        let mut batch = QueryBatch::new();
-        batch
-            .push(AcqQuery::new(a, 2))
-            .push(AcqQuery::new(VertexId(999), 2))
-            .push(AcqQuery::new(a, 0));
-        let results = engine.run(&batch);
-        assert!(results[0].is_ok());
-        assert_eq!(results[1], Err(QueryError::UnknownVertex(VertexId(999))));
-        assert_eq!(results[2], Err(QueryError::InvalidK));
-    }
-
-    #[test]
-    fn variant_batches_match_sequential_engine() {
-        let (graph, engine) = figure3_engine();
-        let sequential = AcqEngine::with_index(&graph, (*engine.index()).as_ref().clone());
-        let x = graph.dictionary().get("x").unwrap();
-        let y = graph.dictionary().get("y").unwrap();
-        let v1: Vec<Variant1Query> = ["A", "B", "C"]
-            .iter()
-            .map(|l| Variant1Query {
-                vertex: graph.vertex_by_label(l).unwrap(),
-                k: 2,
-                keywords: vec![x],
-            })
-            .collect();
-        let got = engine.run_variant1(&v1);
-        for (query, result) in v1.iter().zip(&got) {
-            assert_eq!(result, &sequential.query_variant1(query));
-        }
-        let v2: Vec<Variant2Query> = ["A", "D"]
-            .iter()
-            .map(|l| Variant2Query {
-                vertex: graph.vertex_by_label(l).unwrap(),
-                k: 2,
-                keywords: vec![x, y],
-                theta: 0.5,
-            })
-            .collect();
-        let got = engine.run_variant2(&v2);
-        for (query, result) in v2.iter().zip(&got) {
-            assert_eq!(result, &sequential.query_variant2(query));
-        }
-    }
-
-    #[test]
-    fn repeated_queries_hit_the_shared_cache() {
-        let (graph, engine) = figure3_engine();
-        let a = graph.vertex_by_label("A").unwrap();
-        let batch: QueryBatch = std::iter::repeat_with(|| AcqQuery::new(a, 2)).take(8).collect();
-        let first = engine.run(&batch);
-        let second = engine.run(&batch);
-        assert_eq!(first, second, "cache hits do not change results");
-        let stats = engine.cache_stats();
-        assert!(stats.hits > 0, "identical queries must share cached index work: {stats:?}");
-    }
-
-    #[test]
-    fn engine_is_send_sync_and_static() {
-        fn assert_send_sync<T: Send + Sync + 'static>() {}
-        assert_send_sync::<BatchEngine>();
-        assert_send_sync::<QueryBatch>();
-    }
-
-    #[test]
-    fn run_queries_uses_default_algorithm() {
-        let (graph, engine) = figure3_engine();
-        let a = graph.vertex_by_label("A").unwrap();
-        let results = engine.run_queries(&[AcqQuery::new(a, 2)]);
-        let sequential = AcqEngine::new(&graph);
-        assert_eq!(results[0], sequential.query(&AcqQuery::new(a, 2)));
-    }
-
-    #[test]
-    fn empty_batch_is_fine() {
-        let (_, engine) = figure3_engine();
-        assert!(engine.run(&QueryBatch::new()).is_empty());
-        assert!(QueryBatch::new().is_empty());
-        assert_eq!(QueryBatch::with_capacity(4).len(), 0);
-    }
-}
-
-/// Shim proptests: random-graph equivalence of the deprecated batch entry
-/// points against the deprecated sequential engine. The *new* API's
-/// cross-executor equivalence proptest lives in
-/// `tests/property_equivalence.rs`.
-#[cfg(test)]
-#[allow(deprecated)]
-mod proptests {
-    use super::*;
-    use crate::AcqEngine;
-    use acq_graph::{GraphBuilder, VertexId};
-    use proptest::prelude::*;
-
-    /// Random attributed graphs with a small keyword universe (mirrors the
-    /// strategy of the crate-level algorithm-equivalence proptests).
-    fn arb_graph() -> impl Strategy<Value = AttributedGraph> {
-        (4usize..20).prop_flat_map(|n| {
-            let edges = proptest::collection::vec((0..n as u32, 0..n as u32), 0..80);
-            let keywords = proptest::collection::vec(proptest::collection::vec(0u32..5, 0..4), n);
-            (edges, keywords).prop_map(|(edges, kws)| {
-                let mut b = GraphBuilder::new();
-                for kw in &kws {
-                    let terms: Vec<String> = kw.iter().map(|k| format!("kw{k}")).collect();
-                    let refs: Vec<&str> = terms.iter().map(String::as_str).collect();
-                    b.add_unlabeled_vertex(&refs);
-                }
-                for &(u, v) in &edges {
-                    if u != v {
-                        b.add_edge(VertexId(u), VertexId(v)).unwrap();
-                    }
-                }
-                b.build()
-            })
-        })
-    }
-
-    /// A random batch: query vertices, degree bounds and algorithm picks.
-    fn arb_batch() -> impl Strategy<Value = Vec<(u32, usize, usize)>> {
-        proptest::collection::vec((0u32..20, 1usize..4, 0usize..AcqAlgorithm::ALL.len()), 1..12)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// The tentpole equivalence property: for random graphs, batches and
-        /// thread counts (including 1), the batch engine returns
-        /// byte-identical `AcqResult`s — communities, label size *and* work
-        /// counters — to a sequential `AcqEngine::query_with` loop. A
-        /// deliberately tiny cache keeps the LRU evicting throughout.
-        #[test]
-        fn batch_equals_sequential_loop(g in arb_graph(), raw in arb_batch(), threads in 1usize..5) {
-            let graph = Arc::new(g);
-            let sequential = AcqEngine::new(&graph);
-            let mut batch = QueryBatch::with_capacity(raw.len());
-            for &(q_raw, k, alg) in &raw {
-                let q = VertexId(q_raw % graph.num_vertices() as u32);
-                batch.push_with(AcqQuery::new(q, k), AcqAlgorithm::ALL[alg]);
-            }
-            let engine = BatchEngine::new(Arc::clone(&graph))
-                .with_threads(threads)
-                .with_cache_capacity(3);
-            let results = engine.run(&batch);
-            prop_assert_eq!(results.len(), batch.len());
-            for ((query, algorithm), result) in batch.items().iter().zip(&results) {
-                let expected = sequential.query_with(query, *algorithm);
-                prop_assert_eq!(result, &expected,
-                    "threads={} algorithm={}", threads, algorithm.name());
-            }
-        }
-
-        /// Same property for the default-algorithm path and a warm cache: two
-        /// consecutive runs of one batch agree with each other and with the
-        /// sequential loop.
-        #[test]
-        fn warm_cache_stays_equivalent(g in arb_graph(), raw in arb_batch()) {
-            let graph = Arc::new(g);
-            let sequential = AcqEngine::new(&graph);
-            let queries: Vec<AcqQuery> = raw
-                .iter()
-                .map(|&(q_raw, k, _)| {
-                    AcqQuery::new(VertexId(q_raw % graph.num_vertices() as u32), k)
-                })
-                .collect();
-            let engine = BatchEngine::new(Arc::clone(&graph)).with_threads(2);
-            let cold = engine.run_queries(&queries);
-            let warm = engine.run_queries(&queries);
-            prop_assert_eq!(&cold, &warm, "a warm cache must not change answers");
-            for (query, result) in queries.iter().zip(&cold) {
-                prop_assert_eq!(result, &sequential.query(query));
-            }
-        }
-    }
-}

@@ -5,8 +5,7 @@
 //! the five query algorithms of the paper (`basic-g`, `basic-w`, `Inc-S`,
 //! `Inc-T`, `Dec`), the two problem variants of Appendix G, and one unified
 //! query surface — build a [`Request`], hand it to any [`Executor`]
-//! (the owning [`Engine`] or the batched [`BatchEngine`]), read the
-//! [`Response`].
+//! (the owning [`Engine`] or the [`ShardedEngine`]), read the [`Response`].
 //!
 //! Given a graph `G`, a query vertex `q`, a degree bound `k` and a keyword set
 //! `S ⊆ W(q)`, an **attributed community** is a connected subgraph containing
@@ -42,6 +41,7 @@ pub mod exec;
 mod owned;
 mod query;
 mod request;
+mod serving;
 pub mod shard;
 pub mod variants;
 
@@ -49,15 +49,11 @@ pub use algorithms::basic::{basic_g, basic_w};
 pub use algorithms::dec::{dec, dec_with_miner};
 pub use algorithms::incremental::{inc_s, inc_t};
 pub use engine::AcqAlgorithm;
-#[allow(deprecated)]
-pub use engine::AcqEngine;
-pub use exec::BatchEngine;
-#[allow(deprecated)]
-pub use exec::QueryBatch;
 pub use owned::{Engine, EngineBuilder, UpdateReport, UpdateStrategy, DEFAULT_REBUILD_THRESHOLD};
 pub use query::{AcqQuery, AcqResult, AttributedCommunity, QueryError, QueryStats};
 pub use request::{ExecutionMeta, Executor, QuerySpec, Request, Response};
-pub use shard::{ServingEngine, ShardStatus, ShardedEngine, ShardedEngineBuilder};
+pub use serving::{ServingEngine, WriteError, WriteToken};
+pub use shard::{ShardStatus, ShardedEngine, ShardedEngineBuilder};
 pub use variants::{
     basic_g_v1, basic_g_v2, basic_w_v1, basic_w_v2, sw, swt, Variant1Query, Variant2Query,
 };

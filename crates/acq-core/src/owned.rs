@@ -2,9 +2,10 @@
 //! CL-tree + cache published atomically), the unified [`Request`]/[`Response`]
 //! surface, and the live-update pipeline [`Engine::apply_updates`].
 //!
-//! Unlike the borrowed [`AcqEngine`](crate::AcqEngine) shim, an [`Engine`] is
-//! `'static + Send + Sync`: it can be stored in a server, cloned-by-`Arc` and
-//! queried from many sessions at once. Everything a query depends on — the
+//! An [`Engine`] is `'static + Send + Sync`: it can be stored in a server,
+//! cloned-by-`Arc` and queried from many sessions at once, one
+//! [`Request`] at a time or as a batch fanned out over its worker pool
+//! (`exec::pool`). Everything a query depends on — the
 //! graph, the index built for it, and the cache scoped to that index — lives
 //! in **one** [`GraphGeneration`] behind a `RwLock<Arc<_>>` handle, so every
 //! query (and every batch) runs against a mutually consistent snapshot while

@@ -23,11 +23,11 @@
 //! # let _ = (acq, v1, v2);
 //! ```
 //!
-//! and any [`Executor`] — the owning [`Engine`](crate::Engine), the batched
-//! [`BatchEngine`](crate::exec::BatchEngine), or a future sharded/remote
-//! front-end — answers it through [`Executor::execute`] /
-//! [`Executor::execute_batch`]. Validation lives in one place
-//! ([`Request::validate`]) and is shared by every implementation.
+//! and any [`Executor`] — the owning [`Engine`](crate::Engine), the
+//! [`ShardedEngine`](crate::ShardedEngine), a durable decorator over either,
+//! or the remote `acq_server::Client` — answers it through
+//! [`Executor::execute`] / [`Executor::execute_batch`]. Validation lives in
+//! one place ([`Request::validate`]) and is shared by every implementation.
 
 use crate::algorithms::basic::{basic_g, basic_w};
 use crate::algorithms::dec::dec_cached;
@@ -42,9 +42,8 @@ use acq_graph::{AttributedGraph, KeywordId, VertexId};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-/// Which keyword-cohesiveness rule the query applies — the discriminant that
-/// used to be three separate query structs (`AcqQuery`, `Variant1Query`,
-/// `Variant2Query`).
+/// Which keyword-cohesiveness rule the query applies: Problem 1 or one of
+/// the two Appendix G variants.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum QuerySpec {
     /// Problem 1: maximise the number of keywords of `S` shared by **every**
@@ -165,37 +164,6 @@ impl Request {
         self
     }
 
-    /// The classic query structs, unified: a Problem 1 [`AcqQuery`] plus its
-    /// algorithm pick.
-    pub fn from_acq(query: &AcqQuery, algorithm: AcqAlgorithm) -> Self {
-        Self {
-            vertex: query.vertex,
-            k: query.k,
-            spec: QuerySpec::Community { keywords: query.keywords.clone() },
-            algorithm,
-        }
-    }
-
-    /// A Variant 1 query as a request (`SW`).
-    pub fn from_variant1(query: &Variant1Query) -> Self {
-        Self {
-            vertex: query.vertex,
-            k: query.k,
-            spec: QuerySpec::ExactKeywords { keywords: query.keywords.clone() },
-            algorithm: AcqAlgorithm::default(),
-        }
-    }
-
-    /// A Variant 2 query as a request (`SWT`).
-    pub fn from_variant2(query: &Variant2Query) -> Self {
-        Self {
-            vertex: query.vertex,
-            k: query.k,
-            spec: QuerySpec::Threshold { keywords: query.keywords.clone(), theta: query.theta },
-            algorithm: AcqAlgorithm::default(),
-        }
-    }
-
     /// Validates the request against a graph — the **single** validation path
     /// shared by every [`Executor`]: the query vertex must exist, `k` must be
     /// at least 1, every explicitly supplied keyword id must be present in
@@ -229,8 +197,7 @@ pub struct ExecutionMeta {
     /// The paper name of the algorithm that ran (`"Dec"`, `"SW"`, `"SWT"`, …).
     pub algorithm: String,
     /// The index generation the query ran against (see
-    /// [`Engine::swap_index`](crate::Engine::swap_index)); 0 for executors
-    /// without generation tracking.
+    /// [`Engine::swap_index`](crate::Engine::swap_index)).
     pub generation: u64,
     /// Index-cache lookups answered from the cache while this request ran.
     /// Best-effort under concurrency: parallel requests sharing a cache may
@@ -274,10 +241,10 @@ impl Response {
 /// query construction and query execution.
 ///
 /// Implemented by the owning [`Engine`](crate::Engine) (sequential or
-/// pooled, generation-swappable index) and by the batched
-/// [`BatchEngine`](crate::exec::BatchEngine); both return identical
-/// communities for the same request (enforced by a property test), so
-/// callers can swap executors freely.
+/// pooled, generation-swappable index) and by the
+/// [`ShardedEngine`](crate::ShardedEngine); both return identical
+/// communities for the same request (enforced by property tests), so callers
+/// can swap executors freely.
 pub trait Executor: Send + Sync {
     /// Executes one request.
     fn execute(&self, request: &Request) -> Result<Response, QueryError>;
@@ -426,29 +393,5 @@ mod tests {
         }
 
         assert!(Request::community(a).k(2).validate(&g).is_ok());
-    }
-
-    #[test]
-    fn conversions_from_the_classic_query_structs() {
-        let g = paper_figure3_graph();
-        let a = g.vertex_by_label("A").unwrap();
-        let x = g.dictionary().get("x").unwrap();
-
-        let acq = AcqQuery::with_keywords(a, 2, vec![x]);
-        let r = Request::from_acq(&acq, AcqAlgorithm::IncS);
-        assert_eq!(r.spec, QuerySpec::Community { keywords: Some(vec![x]) });
-        assert_eq!(r.algorithm, AcqAlgorithm::IncS);
-
-        let v1 = Variant1Query { vertex: a, k: 2, keywords: vec![x] };
-        assert_eq!(
-            Request::from_variant1(&v1).spec,
-            QuerySpec::ExactKeywords { keywords: vec![x] }
-        );
-
-        let v2 = Variant2Query { vertex: a, k: 2, keywords: vec![x], theta: 0.5 };
-        assert_eq!(
-            Request::from_variant2(&v2).spec,
-            QuerySpec::Threshold { keywords: vec![x], theta: 0.5 }
-        );
     }
 }

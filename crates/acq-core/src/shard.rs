@@ -57,42 +57,10 @@ use crate::exec::{CacheStats, DEFAULT_CACHE_CAPACITY};
 use crate::owned::{Engine, UpdateReport, UpdateStrategy, DEFAULT_REBUILD_THRESHOLD};
 use crate::query::QueryError;
 use crate::request::{Executor, Request, Response};
+use crate::serving::{ServingEngine, WriteError, WriteToken};
 use acq_graph::{AttributedGraph, GraphDelta, GraphError, GraphPartition, VertexId};
 use acq_sync::sync::{Arc, Mutex, RwLock};
 use acq_sync::thread;
-
-/// The engine surface a serving front-end needs, implemented by the single
-/// [`Engine`] and the [`ShardedEngine`] so a server can hold either behind
-/// one `Arc<dyn ServingEngine>` and serve byte-identical responses.
-pub trait ServingEngine: Executor {
-    /// Applies a delta batch and publishes the updated generation(s).
-    fn apply_updates(&self, deltas: &[GraphDelta]) -> Result<UpdateReport, GraphError>;
-
-    /// The currently published (logical) generation number.
-    fn generation(&self) -> u64;
-
-    /// Aggregated index-cache counters across the whole engine.
-    fn cache_stats(&self) -> CacheStats;
-
-    /// Per-shard counters, in shard order; empty for unsharded engines.
-    fn shard_status(&self) -> Vec<ShardStatus> {
-        Vec::new()
-    }
-}
-
-impl ServingEngine for Engine {
-    fn apply_updates(&self, deltas: &[GraphDelta]) -> Result<UpdateReport, GraphError> {
-        Engine::apply_updates(self, deltas)
-    }
-
-    fn generation(&self) -> u64 {
-        Engine::generation(self)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        Engine::cache_stats(self)
-    }
-}
 
 /// A point-in-time description of one shard, for metrics snapshots.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -621,8 +589,16 @@ impl Executor for ShardedEngine {
 }
 
 impl ServingEngine for ShardedEngine {
-    fn apply_updates(&self, deltas: &[GraphDelta]) -> Result<UpdateReport, GraphError> {
-        ShardedEngine::apply_updates(self, deltas)
+    fn write(
+        &self,
+        _token: Option<&WriteToken>,
+        deltas: &[GraphDelta],
+    ) -> Result<UpdateReport, WriteError> {
+        self.apply_updates(deltas).map_err(WriteError::Rejected)
+    }
+
+    fn graph(&self) -> Arc<AttributedGraph> {
+        ShardedEngine::graph(self)
     }
 
     fn generation(&self) -> u64 {

@@ -18,27 +18,8 @@
 //! eviction is treated as a fresh write — the bound is the price of bounded
 //! memory, and `docs/DURABILITY.md` spells out how to size it.
 
-use acq_core::UpdateReport;
-use serde::{Deserialize, Serialize};
+use acq_core::{UpdateReport, WriteToken};
 use std::collections::{HashMap, VecDeque};
-
-/// A client-supplied idempotency token: one per logical write. Retries of
-/// the same logical write carry the same token; distinct writes from the
-/// same client carry increasing `write_seq` values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct WriteToken {
-    /// The submitting client's stable identity.
-    pub client_id: u64,
-    /// The client's sequence number for this logical write.
-    pub write_seq: u64,
-}
-
-impl WriteToken {
-    /// A token for `client_id`'s `write_seq`-th write.
-    pub fn new(client_id: u64, write_seq: u64) -> Self {
-        Self { client_id, write_seq }
-    }
-}
 
 /// Bounded FIFO map from applied [`WriteToken`]s to the report each was
 /// acknowledged with. Single-owner by design: the transactor thread holds

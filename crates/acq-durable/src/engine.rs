@@ -1,73 +1,37 @@
-//! [`DurableEngine`] — the log-then-apply wrapper around
-//! [`acq_core::Engine`].
+//! [`DurableEngine`] — the log-then-apply decorator over any
+//! [`ServingEngine`].
 //!
-//! Every write goes through [`DurableEngine::log_and_apply`]: the batch is
-//! appended to the [`DeltaLog`] and fsynced **before**
-//! [`Engine::apply_updates`] runs, so a batch whose report the caller has
-//! seen is guaranteed to survive a crash. Reads go straight to the inner
-//! engine (it is lock-free for readers); only writers serialize on the log.
+//! Every write goes through [`ServingEngine::write`]: the batch is appended
+//! to the [`DeltaLog`] and fsynced **before** the wrapped engine applies it,
+//! so a batch whose report the caller has seen is guaranteed to survive a
+//! crash. Reads go straight to the wrapped engine (it is lock-free for
+//! readers); only writers serialize on the log.
 
-use crate::dedup::WriteToken;
 use crate::log::{DeltaLog, RecoveredLog};
 use crate::storage::{FsStorage, Storage};
-use acq_core::{Engine, Executor, QueryError, Request, Response, UpdateReport};
-use acq_graph::{AttributedGraph, GraphDelta, GraphError};
+use acq_core::{
+    exec::CacheStats, Engine, Executor, QueryError, Request, Response, ServingEngine, ShardStatus,
+    UpdateReport, WriteError, WriteToken,
+};
+use acq_graph::{AttributedGraph, GraphDelta};
+use acq_metrics::serving::DurabilityCounters;
 use acq_sync::sync::{Arc, Mutex, PoisonError};
 use std::io;
 use std::path::Path;
 use std::time::Instant;
 
-/// Tuning for [`DurableEngine::open`].
+/// Tuning for [`DurableEngine::open`]. The wrapped engine has its own
+/// builder; pass a configured one through [`DurableEngine::open_with`].
 #[derive(Debug, Clone, Copy)]
 pub struct DurableOptions {
     /// Compact (snapshot + truncate the log) after this many logged records.
     /// `0` disables automatic compaction. Defaults to 64.
     pub compact_every: u64,
-    /// Forwarded to [`acq_core::EngineBuilder::cache_capacity`] when set.
-    pub cache_capacity: Option<usize>,
-    /// Forwarded to [`acq_core::EngineBuilder::threads`] when set.
-    pub threads: Option<usize>,
-    /// Forwarded to [`acq_core::EngineBuilder::rebuild_threshold`] when set.
-    pub rebuild_threshold: Option<f64>,
 }
 
 impl Default for DurableOptions {
     fn default() -> Self {
-        Self { compact_every: 64, cache_capacity: None, threads: None, rebuild_threshold: None }
-    }
-}
-
-/// Why a durable write failed.
-#[derive(Debug)]
-pub enum DurableError {
-    /// The log append or sync failed — the batch is **not** durable and was
-    /// not applied.
-    Io(io::Error),
-    /// The engine rejected the batch (validation); the log entry was rolled
-    /// back, so nothing was acknowledged.
-    Graph(GraphError),
-}
-
-impl std::fmt::Display for DurableError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DurableError::Io(e) => write!(f, "durability failure: {e}"),
-            DurableError::Graph(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for DurableError {}
-
-impl From<io::Error> for DurableError {
-    fn from(e: io::Error) -> Self {
-        DurableError::Io(e)
-    }
-}
-
-impl From<GraphError> for DurableError {
-    fn from(e: GraphError) -> Self {
-        DurableError::Graph(e)
+        Self { compact_every: 64 }
     }
 }
 
@@ -89,31 +53,6 @@ pub struct RecoveryReport {
     pub generation: u64,
 }
 
-/// Counters for the durability layer, mirrored into the server's metrics
-/// snapshot. All values are since-open except `snapshot_bytes` (current).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DurabilityStats {
-    /// Record bytes appended to the log.
-    pub log_bytes_appended: u64,
-    /// Records appended to the log.
-    pub log_records_appended: u64,
-    /// Records replayed from the log at open.
-    pub records_replayed: u64,
-    /// Trailing bytes truncated from the log at open.
-    pub recovery_truncated_bytes: u64,
-    /// Recovery actions that discarded data (log truncations + discarded
-    /// snapshots).
-    pub recovery_truncations: u64,
-    /// Completed compactions.
-    pub compactions: u64,
-    /// Compaction attempts that failed (the log remains authoritative).
-    pub compaction_failures: u64,
-    /// Wall-clock duration of the last completed compaction, in µs.
-    pub last_compaction_micros: u64,
-    /// Size of the current snapshot file in bytes.
-    pub snapshot_bytes: u64,
-}
-
 struct DurableInner {
     log: DeltaLog,
     /// Set while a writer is inside the log-then-apply critical section and
@@ -127,29 +66,25 @@ struct DurableInner {
     compact_every: u64,
     /// Records appended (or replayed) since the last compaction.
     records_since_compaction: u64,
-    records_replayed: u64,
-    recovery_truncated_bytes: u64,
-    recovery_truncations: u64,
-    compactions: u64,
-    compaction_failures: u64,
-    last_compaction_micros: u64,
+    /// The since-open counters; the three the log itself tracks (bytes and
+    /// records appended, snapshot size) are filled in when read.
+    counters: DurabilityCounters,
 }
 
-/// A crash-safe [`Engine`]: a write-ahead [`DeltaLog`] in front of the
-/// in-memory generation machinery.
+/// A crash-safe serving engine: a write-ahead [`DeltaLog`] in front of
+/// whichever engine it wraps — `Durable(Engine)` and `Durable(Sharded)` are
+/// the same type.
 ///
-/// All writes **must** go through [`log_and_apply`](Self::log_and_apply) —
-/// applying updates directly on [`engine`](Self::engine) would fork the
-/// in-memory state away from the log. Reads ([`Executor`] or
-/// [`engine`](Self::engine)) are unaffected by the log and never block on
-/// writers.
+/// It is itself a [`ServingEngine`], so it goes wherever the wrapped engine
+/// went (`Server::bind`, a test, another decorator). Nobody else may hold
+/// the wrapped engine: a write that bypassed the log would fork the
+/// in-memory state away from it. Reads are unaffected by the log and never
+/// block on writers.
 pub struct DurableEngine {
-    engine: Arc<Engine>,
+    engine: Arc<dyn ServingEngine>,
     inner: Mutex<DurableInner>,
     /// `(token, report)` of every tokened record replayed at open, in replay
-    /// order — the transactor seeds its dedup window from this so a retry
-    /// that straddles a crash replays instead of re-applying. Immutable
-    /// after open.
+    /// order. Immutable after open.
     recovered_tokens: Vec<(WriteToken, UpdateReport)>,
 }
 
@@ -161,32 +96,29 @@ impl std::fmt::Debug for DurableEngine {
 
 impl DurableEngine {
     /// Opens the durable state under `storage`, recovering: verify the
-    /// snapshot (falling back to `base_graph` if absent or corrupt), replay
-    /// the valid log suffix, and build a ready-to-serve engine.
-    pub fn open(
+    /// snapshot (falling back to `base_graph` if absent or corrupt), hand the
+    /// recovered graph to `build` for the engine to wrap, and replay the
+    /// valid log suffix into it.
+    ///
+    /// `build` is where the composition is chosen — e.g.
+    /// `|graph| Arc::new(ShardedEngine::new(graph, 4))` for a durable sharded
+    /// stack. Compaction snapshots whatever that engine's
+    /// [`graph`](ServingEngine::graph) returns (the full graph, for a
+    /// sharded engine its mirror), and replay routes every record through
+    /// its [`write`](ServingEngine::write) like a live batch, so a log
+    /// written over one composition recovers under another.
+    pub fn open_with(
         storage: Box<dyn Storage>,
         base_graph: Arc<AttributedGraph>,
         options: DurableOptions,
+        build: impl FnOnce(Arc<AttributedGraph>) -> Arc<dyn ServingEngine>,
     ) -> io::Result<(Self, RecoveryReport)> {
         let (log, recovered) = DeltaLog::open(storage)?;
         let RecoveredLog { snapshot, snapshot_discarded, batches, tokens, truncated_bytes, .. } =
             recovered;
         let snapshot_loaded = snapshot.is_some();
-        let graph = snapshot.map(Arc::new).unwrap_or(base_graph);
+        let engine = build(snapshot.map(Arc::new).unwrap_or(base_graph));
 
-        let mut builder = Engine::builder(graph);
-        if let Some(capacity) = options.cache_capacity {
-            builder = builder.cache_capacity(capacity);
-        }
-        if let Some(threads) = options.threads {
-            builder = builder.threads(threads);
-        }
-        if let Some(fraction) = options.rebuild_threshold {
-            builder = builder.rebuild_threshold(fraction);
-        }
-        let engine = Arc::new(builder.build());
-
-        let records_in_log = batches.len() as u64;
         let mut replayed = 0u64;
         let mut skipped = 0u64;
         let mut recovered_tokens = Vec::new();
@@ -194,7 +126,7 @@ impl DurableEngine {
             // A batch that no longer applies (only possible when the base
             // graph diverged from the logged history) is skipped, not fatal:
             // recovery must always yield a serving engine.
-            match engine.apply_updates(batch) {
+            match engine.write(token.as_ref(), batch) {
                 Ok(report) => {
                     replayed += 1;
                     if let Some(token) = token {
@@ -217,15 +149,26 @@ impl DurableEngine {
             log,
             wedged: false,
             compact_every: options.compact_every,
-            records_since_compaction: records_in_log,
-            records_replayed: replayed,
-            recovery_truncated_bytes: truncated_bytes,
-            recovery_truncations: u64::from(truncated_bytes > 0) + u64::from(snapshot_discarded),
-            compactions: 0,
-            compaction_failures: 0,
-            last_compaction_micros: 0,
+            records_since_compaction: batches.len() as u64,
+            counters: DurabilityCounters {
+                records_replayed: replayed,
+                recovery_truncated_bytes: truncated_bytes,
+                recovery_truncations: u64::from(truncated_bytes > 0)
+                    + u64::from(snapshot_discarded),
+                ..DurabilityCounters::default()
+            },
         };
         Ok((Self { engine, inner: Mutex::new(inner), recovered_tokens }, report))
+    }
+
+    /// [`open_with`](Self::open_with) wrapping a default
+    /// [`Engine`](acq_core::Engine).
+    pub fn open(
+        storage: Box<dyn Storage>,
+        base_graph: Arc<AttributedGraph>,
+        options: DurableOptions,
+    ) -> io::Result<(Self, RecoveryReport)> {
+        Self::open_with(storage, base_graph, options, |graph| Arc::new(Engine::new(graph)))
     }
 
     /// [`open`](Self::open) over a real directory.
@@ -237,130 +180,60 @@ impl DurableEngine {
         Self::open(Box::new(FsStorage::open(dir)?), base_graph, options)
     }
 
-    /// The wrapped engine, for reads and serving. Do **not** write to it
-    /// directly; see the type docs.
-    pub fn engine(&self) -> Arc<Engine> {
-        Arc::clone(&self.engine)
-    }
-
-    /// Logs the batch (append + fsync), then applies it to the engine. The
-    /// returned report means the batch is durable: it will be replayed by
-    /// any future [`open`](Self::open) of the same storage.
-    ///
-    /// On [`DurableError::Io`] the batch is neither durable nor applied; on
-    /// [`DurableError::Graph`] (validation) the log record is rolled back.
-    /// A write that panicked mid-log leaves the log **wedged**: every later
-    /// `log_and_apply` returns [`DurableError::Io`] instead of acknowledging
-    /// (see `DurableInner::wedged`). Reads and [`stats`](Self::stats) keep
-    /// working; recovery via a fresh [`open`](Self::open) is the way back.
-    pub fn log_and_apply(&self, deltas: &[GraphDelta]) -> Result<UpdateReport, DurableError> {
-        self.log_and_apply_tokened(None, deltas)
-    }
-
-    /// [`log_and_apply`](Self::log_and_apply), but the logged record carries
-    /// the batch's idempotency token: a future recovery returns it via
-    /// [`recovered_tokens`](Self::recovered_tokens), so the dedup guarantee
-    /// survives a crash between apply and acknowledgement.
-    pub fn log_and_apply_tokened(
-        &self,
-        token: Option<&WriteToken>,
-        deltas: &[GraphDelta],
-    ) -> Result<UpdateReport, DurableError> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if inner.wedged {
-            return Err(DurableError::Io(wedged_error()));
-        }
-        inner.wedged = true;
-        let outcome = Self::log_and_apply_locked(&self.engine, &mut inner, token, deltas);
-        // Not reached when the critical section unwinds: the flag stays set
-        // and the log never acknowledges another write.
-        inner.wedged = false;
-        outcome
-    }
-
-    /// The `(token, report)` pairs recovered from tokened log records at
-    /// open, in replay order. Compaction-folded records are gone from the
-    /// log, so their tokens age out here exactly as they would out of a
-    /// live bounded window.
-    pub fn recovered_tokens(&self) -> &[(WriteToken, UpdateReport)] {
-        &self.recovered_tokens
-    }
-
-    fn log_and_apply_locked(
-        engine: &Engine,
+    fn write_locked(
+        engine: &dyn ServingEngine,
         inner: &mut DurableInner,
         token: Option<&WriteToken>,
         deltas: &[GraphDelta],
-    ) -> Result<UpdateReport, DurableError> {
-        let seq = inner.log.append_tokened(token, deltas)?;
-        match engine.apply_updates(deltas) {
-            Ok(report) => {
-                inner.records_since_compaction += 1;
-                if inner.compact_every > 0 && inner.records_since_compaction >= inner.compact_every
-                {
-                    Self::compact_locked(engine, inner, seq);
-                }
-                Ok(report)
+    ) -> Result<UpdateReport, WriteError> {
+        let seq = inner.log.append_tokened(token, deltas).map_err(WriteError::NotPersisted)?;
+        let outcome = engine.write(token, deltas);
+        if outcome.is_ok() {
+            inner.records_since_compaction += 1;
+            if inner.compact_every > 0 && inner.records_since_compaction >= inner.compact_every {
+                Self::compact_locked(engine, inner, seq);
             }
-            Err(e) => {
-                // Best effort: a stranded record would be skipped on replay
-                // anyway (it fails apply deterministically), so a rollback
-                // failure does not change what recovery rebuilds.
-                let _ = inner.log.rollback_last();
-                Err(DurableError::Graph(e))
-            }
+        } else {
+            // Best effort: a stranded record would be skipped on replay
+            // anyway (it fails apply deterministically), so a rollback
+            // failure does not change what recovery rebuilds.
+            let _ = inner.log.rollback_last();
         }
+        outcome
     }
 
-    /// Forces a compaction now: snapshot the current graph, truncate the
-    /// log. Returns whether the snapshot was installed.
+    /// Forces a compaction now: snapshot the current graph and truncate the
+    /// log. `Err` means the snapshot could not be installed (or the log is
+    /// wedged); the log is still complete, so nothing is lost.
     pub fn compact(&self) -> io::Result<()> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if inner.wedged {
             return Err(wedged_error());
         }
         let seq = inner.log.last_seq();
-        let before = inner.compaction_failures;
-        Self::compact_locked(&self.engine, &mut inner, seq);
-        if inner.compaction_failures > before {
+        let before = inner.counters.compaction_failures;
+        Self::compact_locked(&*self.engine, &mut inner, seq);
+        if inner.counters.compaction_failures > before {
             Err(io::Error::other("snapshot installation failed"))
         } else {
             Ok(())
         }
     }
 
-    fn compact_locked(engine: &Engine, inner: &mut DurableInner, seq: u64) {
+    fn compact_locked(engine: &dyn ServingEngine, inner: &mut DurableInner, seq: u64) {
         let started = Instant::now();
         let graph = engine.graph();
         match inner.log.install_snapshot(&graph, seq) {
             Ok(()) => {
                 inner.records_since_compaction = 0;
-                inner.compactions += 1;
-                inner.last_compaction_micros = started.elapsed().as_micros() as u64;
+                inner.counters.compactions += 1;
+                inner.counters.last_compaction_micros = started.elapsed().as_micros() as u64;
             }
             Err(_) => {
                 // The log is still complete, so nothing is lost — the next
                 // trigger retries.
-                inner.compaction_failures += 1;
+                inner.counters.compaction_failures += 1;
             }
-        }
-    }
-
-    /// Current durability counters.
-    pub fn stats(&self) -> DurabilityStats {
-        // Tolerant read: the counters must stay observable even after a
-        // writer died (that is exactly when an operator wants them).
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        DurabilityStats {
-            log_bytes_appended: inner.log.bytes_appended(),
-            log_records_appended: inner.log.records_appended(),
-            records_replayed: inner.records_replayed,
-            recovery_truncated_bytes: inner.recovery_truncated_bytes,
-            recovery_truncations: inner.recovery_truncations,
-            compactions: inner.compactions,
-            compaction_failures: inner.compaction_failures,
-            last_compaction_micros: inner.last_compaction_micros,
-            snapshot_bytes: inner.log.snapshot_bytes(),
         }
     }
 }
@@ -379,5 +252,69 @@ impl Executor for DurableEngine {
 
     fn execute_batch(&self, requests: &[Request]) -> Vec<Result<Response, QueryError>> {
         self.engine.execute_batch(requests)
+    }
+}
+
+impl ServingEngine for DurableEngine {
+    /// Logs the batch (append + fsync) with its token, then applies it to
+    /// the wrapped engine. The returned report means the batch is durable:
+    /// any future open of the same storage replays it, and returns its token
+    /// through [`recovered_tokens`](ServingEngine::recovered_tokens).
+    ///
+    /// On [`WriteError::NotPersisted`] the batch is neither durable nor
+    /// applied; on [`WriteError::Rejected`] the log record is rolled back. A
+    /// write that panicked mid-log leaves the log **wedged**: every later
+    /// write returns `NotPersisted` instead of acknowledging (see
+    /// `DurableInner::wedged`). Reads and the counters keep working; a fresh
+    /// open is the way back.
+    fn write(
+        &self,
+        token: Option<&WriteToken>,
+        deltas: &[GraphDelta],
+    ) -> Result<UpdateReport, WriteError> {
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        if inner.wedged {
+            return Err(WriteError::NotPersisted(wedged_error()));
+        }
+        inner.wedged = true;
+        let outcome = Self::write_locked(&*self.engine, &mut inner, token, deltas);
+        // Not reached when the critical section unwinds: the flag stays set
+        // and the log never acknowledges another write.
+        inner.wedged = false;
+        outcome
+    }
+
+    fn graph(&self) -> Arc<AttributedGraph> {
+        self.engine.graph()
+    }
+
+    fn generation(&self) -> u64 {
+        self.engine.generation()
+    }
+
+    fn cache_stats(&self) -> CacheStats {
+        self.engine.cache_stats()
+    }
+
+    fn shard_status(&self) -> Vec<ShardStatus> {
+        self.engine.shard_status()
+    }
+
+    fn durability(&self) -> Option<DurabilityCounters> {
+        // Tolerant read: the counters must stay observable even after a
+        // writer died (that is exactly when an operator wants them).
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        Some(DurabilityCounters {
+            log_bytes_appended: inner.log.bytes_appended(),
+            log_records_appended: inner.log.records_appended(),
+            snapshot_bytes: inner.log.snapshot_bytes(),
+            ..inner.counters
+        })
+    }
+
+    /// Compaction-folded records are gone from the log, so their tokens age
+    /// out here exactly as they would out of a live bounded window.
+    fn recovered_tokens(&self) -> &[(WriteToken, UpdateReport)] {
+        &self.recovered_tokens
     }
 }

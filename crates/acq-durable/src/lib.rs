@@ -12,16 +12,17 @@
 //! * **Snapshot compaction** — every `compact_every` records the full graph
 //!   is serialized and atomically swapped in (write-temp + rename), bounding
 //!   replay cost by deltas-since-snapshot.
-//! * [`DurableEngine`] — wraps [`acq_core::Engine`]: writes go through
-//!   [`log_and_apply`](DurableEngine::log_and_apply) (durable before
-//!   applied), reads hit the lock-free generation machinery unchanged.
+//! * [`DurableEngine`] — a decorator over any
+//!   [`ServingEngine`](acq_core::ServingEngine) (an `Engine`, a
+//!   `ShardedEngine`) that is itself one: its
+//!   [`write`](acq_core::ServingEngine::write) is durable before applied,
+//!   reads hit the wrapped engine's lock-free generation machinery unchanged.
 //! * [`WriteToken`] / [`DedupWindow`] — client-supplied idempotency tokens
 //!   and the bounded token→report window the serving transactor uses to
 //!   replay a retried update's cached `UpdateOk` instead of re-applying it.
-//!   Tokens ride inside logged records
-//!   ([`log_and_apply_tokened`](DurableEngine::log_and_apply_tokened)), so
-//!   the window is reseeded from
-//!   [`recovered_tokens`](DurableEngine::recovered_tokens) after a crash.
+//!   Tokens ride inside logged records, so the window is reseeded from
+//!   [`recovered_tokens`](acq_core::ServingEngine::recovered_tokens) after a
+//!   crash.
 //! * [`FaultyStorage`] — a scripted-fault [`Storage`] (torn writes, short
 //!   reads, flipped bits, I/O errors) that the recovery proptests in
 //!   `tests/durability_recovery.rs` drive to earn the claims above.
@@ -31,6 +32,7 @@
 //! table.
 //!
 //! ```
+//! use acq_core::ServingEngine;
 //! use acq_durable::{DurableEngine, DurableOptions, MemStorage};
 //! use acq_graph::{paper_figure3_graph, GraphDelta, VertexId};
 //! use std::sync::Arc;
@@ -42,14 +44,14 @@
 //! let (engine, _) =
 //!     DurableEngine::open(Box::new(disk.clone()), Arc::clone(&base), DurableOptions::default())
 //!         .unwrap();
-//! engine.log_and_apply(&[GraphDelta::insert_edge(VertexId(7), VertexId(5))]).unwrap();
+//! engine.write(None, &[GraphDelta::insert_edge(VertexId(7), VertexId(5))]).unwrap();
 //! drop(engine);
 //!
 //! // Second life: the acknowledged edge is still there.
 //! let (engine, report) =
 //!     DurableEngine::open(Box::new(disk), base, DurableOptions::default()).unwrap();
 //! assert_eq!(report.records_replayed, 1);
-//! assert!(engine.engine().graph().has_edge(VertexId(7), VertexId(5)));
+//! assert!(engine.graph().has_edge(VertexId(7), VertexId(5)));
 //! ```
 
 #![deny(missing_docs)]
@@ -61,9 +63,10 @@ mod fault;
 mod log;
 mod storage;
 
+pub use acq_core::WriteToken;
 pub use crc::crc32;
-pub use dedup::{DedupWindow, WriteToken};
-pub use engine::{DurabilityStats, DurableEngine, DurableError, DurableOptions, RecoveryReport};
+pub use dedup::DedupWindow;
+pub use engine::{DurableEngine, DurableOptions, RecoveryReport};
 pub use fault::{FaultyStorage, ReadFault};
 pub use log::{
     encode_record, encode_record_tokened, DeltaLog, RecoveredLog, LOG_FILE, LOG_MAGIC,

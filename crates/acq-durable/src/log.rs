@@ -43,8 +43,8 @@
 //! (`InsertVertex`), so they are filtered by sequence number instead.
 
 use crate::crc::crc32;
-use crate::dedup::WriteToken;
 use crate::storage::Storage;
+use acq_core::WriteToken;
 use acq_graph::{AttributedGraph, GraphDelta};
 use std::io;
 

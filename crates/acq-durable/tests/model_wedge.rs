@@ -9,8 +9,8 @@
 //! storage backend that panics mid-append and then checks, from racing
 //! threads, that every later write is refused while reads stay alive.
 
-use acq_core::{Executor, Request};
-use acq_durable::{DurableEngine, DurableError, DurableOptions, MemStorage, Storage};
+use acq_core::{Engine, Executor, Request, ServingEngine, WriteError};
+use acq_durable::{DurableEngine, DurableOptions, MemStorage, Storage};
 use acq_graph::{unlabeled_graph, GraphDelta, VertexId};
 use acq_sync::model::model;
 use acq_sync::sync::atomic::{AtomicBool, Ordering};
@@ -69,14 +69,11 @@ fn a_wedged_log_never_acks_another_write() {
         let arm = Arc::new(AtomicBool::new(false));
         let storage = PanickingStorage { inner: MemStorage::new(), arm: Arc::clone(&arm) };
         let graph = Arc::new(unlabeled_graph(3, &[(0, 1)]));
-        let options = DurableOptions {
-            compact_every: 0,
-            cache_capacity: Some(0),
-            threads: Some(1),
-            rebuild_threshold: None,
-        };
-        let (durable, _report) =
-            DurableEngine::open(Box::new(storage), graph, options).expect("open durable engine");
+        let options = DurableOptions { compact_every: 0 };
+        let (durable, _report) = DurableEngine::open_with(Box::new(storage), graph, options, |g| {
+            Arc::new(Engine::builder(g).cache_capacity(0).threads(1).build())
+        })
+        .expect("open durable engine");
         let durable = Arc::new(durable);
 
         // Recovery is done; the next append is the one that dies.
@@ -85,7 +82,7 @@ fn a_wedged_log_never_acks_another_write() {
             let durable = Arc::clone(&durable);
             thread::spawn(move || {
                 let died = catch_unwind(AssertUnwindSafe(|| {
-                    durable.log_and_apply(&[GraphDelta::insert_edge(VertexId(1), VertexId(2))])
+                    durable.write(None, &[GraphDelta::insert_edge(VertexId(1), VertexId(2))])
                 }));
                 assert!(died.is_err(), "the armed append must panic");
             })
@@ -97,25 +94,25 @@ fn a_wedged_log_never_acks_another_write() {
             let durable = Arc::clone(&durable);
             thread::spawn(move || {
                 durable
-                    .log_and_apply(&[GraphDelta::insert_edge(VertexId(0), VertexId(2))])
+                    .write(None, &[GraphDelta::insert_edge(VertexId(0), VertexId(2))])
                     .expect_err("a wedged log must never ack")
             })
         };
         let refusal = durable
-            .log_and_apply(&[GraphDelta::insert_edge(VertexId(1), VertexId(2))])
+            .write(None, &[GraphDelta::insert_edge(VertexId(1), VertexId(2))])
             .expect_err("a wedged log must never ack");
         match &refusal {
-            DurableError::Io(e) => {
+            WriteError::NotPersisted(e) => {
                 assert!(e.to_string().contains("wedged"), "unexpected refusal: {e}")
             }
-            DurableError::Graph(e) => panic!("refusal must be an I/O error, got: {e}"),
+            WriteError::Rejected(e) => panic!("refusal must be an I/O error, got: {e}"),
         }
         racer.join().unwrap();
 
         // The read path survives: queries and stats still answer.
-        let response = durable.engine().execute(&Request::community(VertexId(0))).unwrap();
+        let response = durable.execute(&Request::community(VertexId(0))).unwrap();
         assert!(!response.communities().is_empty());
-        let stats = durable.stats();
+        let stats = durable.durability().expect("a durable engine reports its counters");
         assert_eq!(stats.log_records_appended, 0, "the dying write was never acknowledged");
     });
 }

@@ -19,7 +19,7 @@
 //!   server's `retry_after_ms` hint as a floor. Transport-level failures
 //!   drop the connection and redial automatically.
 //! * **Idempotent updates** — every [`Client::update`] carries a
-//!   [`WriteToken`](acq_durable::WriteToken) (`client_id` + `write_seq`)
+//!   [`WriteToken`](acq_core::WriteToken) (`client_id` + `write_seq`)
 //!   minted **once** per logical write, so a retry after a lost `UpdateOk`
 //!   replays the server's cached report instead of applying the batch twice.
 

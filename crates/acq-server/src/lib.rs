@@ -1,8 +1,10 @@
 //! Serving front-end for attributed community search.
 //!
-//! This crate puts the in-process [`Engine`](acq_core::Engine) behind a
-//! length-prefixed framed TCP protocol (specified byte-for-byte in
-//! `docs/PROTOCOL.md`; operational guidance in `docs/OPERATIONS.md`):
+//! This crate puts any [`ServingEngine`](acq_core::ServingEngine) — an
+//! [`Engine`](acq_core::Engine), a `ShardedEngine`, a `DurableEngine` around
+//! either — behind a length-prefixed framed TCP protocol (specified
+//! byte-for-byte in `docs/PROTOCOL.md`; operational guidance in
+//! `docs/OPERATIONS.md`):
 //!
 //! * [`Server`] — thread-per-core accept loop; per-connection reader/worker
 //!   pairs batch incoming queries into single
@@ -10,12 +12,10 @@
 //!   current generation snapshot.
 //! * The **transactor** — every `Update` frame, from every connection,
 //!   funnels through one serialized thread that owns
-//!   [`Engine::apply_updates`](acq_core::Engine::apply_updates); reads never
-//!   block on writers. On a durable server
-//!   ([`Server::bind_durable`](server::Server::bind_durable)) the transactor
-//!   routes through
-//!   [`DurableEngine::log_and_apply`](acq_durable::DurableEngine::log_and_apply),
-//!   so every acknowledged update is fsynced to the delta log first (see
+//!   [`ServingEngine::write`](acq_core::ServingEngine::write); reads never
+//!   block on writers. Bind the server with an
+//!   [`acq_durable::DurableEngine`] around the engine and that same call
+//!   fsyncs every acknowledged update to the delta log first (see
 //!   `docs/DURABILITY.md`).
 //! * [`Client`] — a minimal blocking client speaking the same frames.
 //! * The `Metrics` frame — exports the server's counters together with the
@@ -58,4 +58,4 @@ pub use frame::{
     ENVELOPE_LEN, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use transactor::{ReplySink, Transactor, WriteApply, WriteJob};
+pub use transactor::{ReplySink, Transactor, WriteJob};

@@ -8,10 +8,7 @@
 
 use acq_core::exec::CacheStats;
 use acq_core::{ShardStatus, UpdateReport, UpdateStrategy};
-use acq_durable::DurabilityStats;
-use acq_metrics::serving::{
-    CacheCounters, DurabilityCounters, ServerCounters, ShardCounters, UpdateCounters,
-};
+use acq_metrics::serving::{CacheCounters, ServerCounters, ShardCounters, UpdateCounters};
 use acq_sync::sync::atomic::{AtomicU64, Ordering};
 
 /// The server's cumulative counters. All methods are callable from any
@@ -139,21 +136,6 @@ pub(crate) fn update_counters(report: &UpdateReport) -> UpdateCounters {
         touched_fraction: report.touched_fraction,
         cache_carried: report.cache_carried,
         cache_dropped: report.cache_dropped,
-    }
-}
-
-/// Mirrors the durable engine's [`DurabilityStats`] into the wire shape.
-pub(crate) fn durability_counters(stats: DurabilityStats) -> DurabilityCounters {
-    DurabilityCounters {
-        log_bytes_appended: stats.log_bytes_appended,
-        log_records_appended: stats.log_records_appended,
-        records_replayed: stats.records_replayed,
-        recovery_truncated_bytes: stats.recovery_truncated_bytes,
-        recovery_truncations: stats.recovery_truncations,
-        compactions: stats.compactions,
-        compaction_failures: stats.compaction_failures,
-        last_compaction_micros: stats.last_compaction_micros,
-        snapshot_bytes: stats.snapshot_bytes,
     }
 }
 

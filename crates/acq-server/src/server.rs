@@ -22,10 +22,10 @@ use crate::frame::{
     codes, error_payload, read_frame, retry_error_frame, write_frame, Frame, FrameError, FrameKind,
     QueryEnvelope, UpdateEnvelope, DEFAULT_MAX_FRAME_LEN,
 };
-use crate::metrics::{cache_counters, durability_counters, shard_counters, ServerMetrics};
-use crate::transactor::{last_update_counters, ReplySink, Transactor, WriteApply, WriteJob};
-use acq_core::{Request, ServingEngine, UpdateReport};
-use acq_durable::{DurableEngine, WriteToken};
+use crate::metrics::{cache_counters, shard_counters, ServerMetrics};
+use crate::transactor::{last_update_counters, ReplySink, Transactor, WriteJob};
+use acq_core::{Request, ServingEngine, UpdateReport, WriteToken};
+use acq_durable::DurableEngine;
 use acq_graph::GraphDelta;
 use acq_metrics::serving::MetricsSnapshot;
 use acq_sync::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -119,9 +119,6 @@ pub struct Server;
 /// Shared state every server thread hangs off.
 struct Shared {
     engine: Arc<dyn ServingEngine>,
-    /// Set on durable servers; the transactor writes through it, and the
-    /// `Metrics` frame reports its counters.
-    durable: Option<Arc<DurableEngine>>,
     metrics: Arc<ServerMetrics>,
     config: ServerConfig,
     shutdown: AtomicBool,
@@ -164,50 +161,25 @@ impl Server {
     /// returns the running server's handle. Use port 0 to let the OS pick a
     /// free port (read it back from [`ServerHandle::local_addr`]).
     ///
-    /// Accepts any [`ServingEngine`]: an `Arc<Engine>` and an
-    /// `Arc<ShardedEngine>` (`acq_core::ShardedEngine`) both coerce, and the
-    /// wire behaviour is byte-identical between them — a sharded server
-    /// additionally reports `acq_shard_*` metrics lines.
+    /// Accepts any [`ServingEngine`] composition — an `Arc<Engine>`, an
+    /// `Arc<ShardedEngine>` (`acq_core::ShardedEngine`), or an
+    /// `Arc<DurableEngine>` wrapping either all coerce — and the wire
+    /// behaviour is byte-identical between them. What differs shows only in
+    /// the `Metrics` frame: a sharded engine adds `acq_shard_*` lines, a
+    /// durable one the delta-log counters (and every `UpdateOk` it
+    /// acknowledges was fsynced first, so it survives a `kill -9`).
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
         engine: Arc<dyn ServingEngine>,
         config: ServerConfig,
     ) -> io::Result<ServerHandle> {
-        Self::bind_inner(addr, engine, None, config)
-    }
-
-    /// Like [`bind`](Self::bind), but writes go through the durable engine's
-    /// log-then-apply path: every acknowledged `UpdateOk` is fsynced to the
-    /// delta log before it is applied, so it survives a `kill -9`. Reads are
-    /// served by the wrapped in-memory engine exactly as on a volatile
-    /// server, and the `Metrics` frame additionally reports the durability
-    /// counters.
-    pub fn bind_durable<A: ToSocketAddrs>(
-        addr: A,
-        durable: Arc<DurableEngine>,
-        config: ServerConfig,
-    ) -> io::Result<ServerHandle> {
-        let engine = durable.engine();
-        Self::bind_inner(addr, engine, Some(durable), config)
-    }
-
-    fn bind_inner<A: ToSocketAddrs>(
-        addr: A,
-        engine: Arc<dyn ServingEngine>,
-        durable: Option<Arc<DurableEngine>>,
-        config: ServerConfig,
-    ) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let metrics = Arc::new(ServerMetrics::default());
-        let apply = match &durable {
-            Some(durable) => WriteApply::Durable(Arc::clone(durable)),
-            None => WriteApply::Volatile(Arc::clone(&engine)),
-        };
-        let transactor = Transactor::spawn(apply, Arc::clone(&metrics), config.dedup_window)?;
+        let transactor =
+            Transactor::spawn(Arc::clone(&engine), Arc::clone(&metrics), config.dedup_window)?;
         let shared = Arc::new(Shared {
             engine,
-            durable,
             metrics,
             config: config.clone(),
             shutdown: AtomicBool::new(false),
@@ -235,6 +207,16 @@ impl Server {
             );
         }
         Ok(ServerHandle { local_addr, shared, accept_handles, transactor })
+    }
+
+    /// Alias of [`bind`](Self::bind), kept only because the frozen
+    /// `servingbench/` package calls it (ROADMAP lists its removal).
+    pub fn bind_durable<A: ToSocketAddrs>(
+        addr: A,
+        durable: Arc<DurableEngine>,
+        config: ServerConfig,
+    ) -> io::Result<ServerHandle> {
+        Self::bind(addr, durable, config)
     }
 }
 
@@ -689,49 +671,60 @@ fn worker_loop(
     }
 }
 
-/// The `Metrics` frame body: server counters + engine cache counters +
-/// generation + the transactor's last update + durability counters (durable
-/// servers only).
+/// The `Metrics` frame body: server counters, the transactor's last update,
+/// and whatever the engine stack reports about itself (cache, generation,
+/// durability counters under a durable layer, shards under a sharded one).
 fn snapshot(shared: &Shared) -> MetricsSnapshot {
     MetricsSnapshot {
         server: shared.metrics.snapshot(),
         cache: cache_counters(shared.engine.cache_stats()),
         generation: shared.engine.generation(),
         last_update: last_update_counters(&shared.last_update),
-        durability: shared.durable.as_ref().map(|d| durability_counters(d.stats())),
+        durability: shared.engine.durability(),
         shards: shard_counters(&shared.engine.shard_status()),
     }
 }
 
-fn decode_json<T: serde::Deserialize>(payload: &[u8]) -> Result<T, String> {
+/// Parses a payload into the JSON tree its wire form is read off.
+fn parse_payload(payload: &[u8]) -> Result<serde::Value, String> {
     let text = std::str::from_utf8(payload).map_err(|e| format!("payload is not UTF-8: {e}"))?;
-    serde_json::from_str(text).map_err(|e| format!("payload does not decode: {e}"))
+    serde_json::parse(text).map_err(|e| format!("payload does not decode: {e}"))
 }
 
-/// Decodes a `Query` payload: either a bare [`Request`] (the original wire
-/// shape, still fully supported) or a [`QueryEnvelope`] with a deadline. The
-/// two are unambiguous — a bare request has a required `vertex` field, the
-/// envelope a required `request` field.
+fn decode_as<T: serde::Deserialize>(value: &serde::Value) -> Result<T, String> {
+    T::from_value(value).map_err(|e| format!("payload does not decode: {e}"))
+}
+
+/// Decodes a `Query` payload: a [`QueryEnvelope`] (an object with a
+/// `request` key, optionally a deadline) or a bare [`Request`] (the original
+/// wire shape, still fully supported). The form is picked from the payload's
+/// shape and decoded once, so a malformed payload is reported against the
+/// form the client actually sent.
 fn decode_query(payload: &[u8]) -> Result<(Request, Option<u64>), String> {
-    if let Ok(request) = decode_json::<Request>(payload) {
-        return Ok((request, None));
+    let value = parse_payload(payload)?;
+    if value.get_field("request").is_some() {
+        decode_as::<QueryEnvelope>(&value).map(|env| (env.request, env.deadline_ms))
+    } else {
+        decode_as::<Request>(&value).map(|request| (request, None))
     }
-    decode_json::<QueryEnvelope>(payload).map(|env| (env.request, env.deadline_ms))
 }
 
-/// Decodes an `Update` payload: either a bare delta array (the original wire
-/// shape: no token, no deadline, no retry safety) or an [`UpdateEnvelope`]
-/// carrying the idempotency token and an optional deadline.
+/// Decodes an `Update` payload: a bare delta array (the original wire shape:
+/// no token, no deadline, no retry safety) or an [`UpdateEnvelope`] object
+/// carrying the idempotency token and an optional deadline. Picked by shape,
+/// like [`decode_query`].
 #[allow(clippy::type_complexity)]
 fn decode_update(
     payload: &[u8],
 ) -> Result<(Vec<GraphDelta>, Option<WriteToken>, Option<u64>), String> {
-    if let Ok(deltas) = decode_json::<Vec<GraphDelta>>(payload) {
-        return Ok((deltas, None, None));
+    let value = parse_payload(payload)?;
+    if matches!(value, serde::Value::Array(_)) {
+        decode_as::<Vec<GraphDelta>>(&value).map(|deltas| (deltas, None, None))
+    } else {
+        decode_as::<UpdateEnvelope>(&value).map(|env| {
+            (env.deltas, Some(WriteToken::new(env.client_id, env.write_seq)), env.deadline_ms)
+        })
     }
-    decode_json::<UpdateEnvelope>(payload).map(|env| {
-        (env.deltas, Some(WriteToken::new(env.client_id, env.write_seq)), env.deadline_ms)
-    })
 }
 
 /// Maps a client's relative millisecond budget to the absolute instant the

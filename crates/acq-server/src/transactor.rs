@@ -1,31 +1,31 @@
 //! The serialized write path: one transactor thread owns every mutation.
 //!
 //! All `Update` frames — from every connection — funnel into a single
-//! `mpsc` channel drained by one thread that calls
-//! [`Engine::apply_updates`](acq_core::Engine::apply_updates). This is the
-//! classic transactor split: writes are serialized (so concurrent update
-//! batches can never stage against the same base generation), while reads
-//! keep fanning out over published generation snapshots and never block on a
-//! writer — the engine's `RwLock` is held only for the pointer swap that
-//! publishes a staged generation.
+//! `mpsc` channel drained by one thread that calls [`ServingEngine::write`]
+//! on whatever engine the server was bound with. This is the classic
+//! transactor split: writes are serialized (so concurrent update batches can
+//! never stage against the same base generation), while reads keep fanning
+//! out over published generation snapshots and never block on a writer — the
+//! engine's `RwLock` is held only for the pointer swap that publishes a
+//! staged generation.
 //!
 //! The transactor answers each update on the submitting connection itself
 //! (an `UpdateOk` frame carrying the serde-ed `UpdateReport`, or an error
 //! frame), so connection readers stay free to keep decoding queries while a
 //! write is in flight.
 //!
-//! On a durable server ([`Server::bind_durable`](crate::Server::bind_durable))
-//! the transactor routes through
-//! [`DurableEngine::log_and_apply`](acq_durable::DurableEngine::log_and_apply)
-//! instead: the batch is appended to the delta log and fsynced **before** it
-//! is applied, so an `UpdateOk` the client has read is guaranteed to survive
-//! a crash.
+//! There is one write path. When the engine is (or wraps) an
+//! `acq_durable::DurableEngine`, that same `write` call appends the batch and
+//! its idempotency token to the delta log and fsyncs **before** applying, so
+//! an `UpdateOk` the client has read is guaranteed to survive a crash — and
+//! the dedup window below is seeded from the tokens the log gave back at
+//! recovery. The transactor itself cannot tell the difference.
 
 use crate::frame::FrameKind;
 use crate::frame::{codes, error_frame, Frame};
 use crate::metrics::{update_counters, ServerMetrics};
-use acq_core::{ServingEngine, UpdateReport};
-use acq_durable::{DedupWindow, DurableEngine, DurableError, WriteToken};
+use acq_core::{ServingEngine, UpdateReport, WriteError, WriteToken};
+use acq_durable::DedupWindow;
 use acq_graph::GraphDelta;
 use acq_sync::sync::atomic::Ordering;
 use acq_sync::sync::mpsc::{channel, Sender};
@@ -41,42 +41,6 @@ use std::time::Instant;
 pub trait ReplySink: Send + Sync {
     /// Delivers one reply frame to the submitting client.
     fn send(&self, frame: &Frame) -> io::Result<()>;
-}
-
-/// How the transactor applies a batch: straight to the in-memory engine, or
-/// log-then-apply through a durable one.
-pub enum WriteApply {
-    /// Apply straight to the in-memory engine (single or sharded).
-    Volatile(Arc<dyn ServingEngine>),
-    /// Log-then-apply through a durable engine: the batch is fsynced to the
-    /// delta log before it is applied, so an acknowledged update survives a
-    /// crash.
-    Durable(Arc<DurableEngine>),
-}
-
-impl WriteApply {
-    /// Applies one batch, mapping failures to `(wire code, message)`. On a
-    /// durable engine the token rides inside the logged record, so the dedup
-    /// window can be reseeded after a crash.
-    fn apply(
-        &self,
-        token: Option<&WriteToken>,
-        deltas: &[GraphDelta],
-    ) -> Result<UpdateReport, (&'static str, String)> {
-        match self {
-            WriteApply::Volatile(engine) => {
-                engine.apply_updates(deltas).map_err(|e| (codes::INVALID_UPDATE, e.to_string()))
-            }
-            WriteApply::Durable(durable) => {
-                durable.log_and_apply_tokened(token, deltas).map_err(|e| match e {
-                    DurableError::Graph(g) => (codes::INVALID_UPDATE, g.to_string()),
-                    DurableError::Io(io) => {
-                        (codes::DURABILITY, format!("batch not persisted: {io}"))
-                    }
-                })
-            }
-        }
-    }
 }
 
 /// One queued write: the decoded delta batch plus everything needed to
@@ -104,13 +68,14 @@ pub struct Transactor {
 }
 
 impl Transactor {
-    /// Spawns the transactor thread for the given write path, owning a dedup
-    /// window of at most `dedup_capacity` tokens (`0` disables dedup). On a
-    /// durable engine the window is seeded from the tokens recovered out of
-    /// the log, so a retry that straddles a crash still replays. Fails only
-    /// if the OS refuses the thread.
+    /// Spawns the transactor thread writing to `engine`, owning a dedup
+    /// window of at most `dedup_capacity` tokens (`0` disables dedup). The
+    /// window is seeded from the engine's
+    /// [`recovered_tokens`](ServingEngine::recovered_tokens), so on a durable
+    /// engine a retry that straddles a crash still replays. Fails only if
+    /// the OS refuses the thread.
     pub fn spawn(
-        apply: WriteApply,
+        engine: Arc<dyn ServingEngine>,
         metrics: Arc<ServerMetrics>,
         dedup_capacity: usize,
     ) -> io::Result<Self> {
@@ -118,16 +83,14 @@ impl Transactor {
         let last = Arc::new(Mutex::new(None));
         let last_writer = Arc::clone(&last);
         let mut window = DedupWindow::new(dedup_capacity);
-        if let WriteApply::Durable(durable) = &apply {
-            for (token, report) in durable.recovered_tokens() {
-                window.record(*token, report.clone());
-            }
+        for (token, report) in engine.recovered_tokens() {
+            window.record(*token, report.clone());
         }
         let handle = acq_sync::thread::Builder::new().name("acq-transactor".to_string()).spawn(
             move || {
                 // The loop ends when every sender is dropped (server shutdown).
                 while let Ok(job) = rx.recv() {
-                    let reply = answer_job(&apply, &metrics, &mut window, &last_writer, &job);
+                    let reply = answer_job(&*engine, &metrics, &mut window, &last_writer, &job);
                     // A vanished connection is not the transactor's problem.
                     let _ = job.writer.send(&reply);
                     release_pending_write(&metrics);
@@ -164,7 +127,7 @@ impl Transactor {
 
 /// Builds the reply for one job: dedup replay, deadline shed, or apply.
 fn answer_job(
-    apply: &WriteApply,
+    engine: &dyn ServingEngine,
     metrics: &ServerMetrics,
     window: &mut DedupWindow,
     last: &Mutex<Option<UpdateReport>>,
@@ -187,7 +150,7 @@ fn answer_job(
             "deadline expired before the write was applied; nothing was applied",
         );
     }
-    match apply.apply(job.token.as_ref(), &job.deltas) {
+    match engine.write(job.token.as_ref(), &job.deltas) {
         Ok(report) => {
             ServerMetrics::bump(&metrics.updates_applied);
             ServerMetrics::add(&metrics.deltas_applied, report.deltas_applied as u64);
@@ -197,9 +160,13 @@ fn answer_job(
             }
             update_ok_frame(job.request_id, &report)
         }
-        Err((code, message)) => {
+        Err(error) => {
             ServerMetrics::bump(&metrics.update_errors);
-            error_frame(job.request_id, code, message)
+            let code = match error {
+                WriteError::Rejected(_) => codes::INVALID_UPDATE,
+                WriteError::NotPersisted(_) => codes::DURABILITY,
+            };
+            error_frame(job.request_id, code, error.to_string())
         }
     }
 }

@@ -12,7 +12,7 @@ use acq_durable::WriteToken;
 use acq_graph::{unlabeled_graph, GraphDelta};
 use acq_server::frame::{Frame, FrameKind};
 use acq_server::metrics::ServerMetrics;
-use acq_server::{InFlightGauge, ReplySink, Transactor, WriteApply, WriteJob};
+use acq_server::{InFlightGauge, ReplySink, Transactor, WriteJob};
 use acq_sync::model::model;
 use acq_sync::sync::{Arc, Mutex};
 use acq_sync::thread;
@@ -56,8 +56,7 @@ fn shutdown_drains_every_queued_write_exactly_once() {
         let graph = Arc::new(unlabeled_graph(2, &[(0, 1)]));
         let engine = Arc::new(Engine::builder(graph).cache_capacity(0).threads(1).build());
         let metrics = Arc::new(ServerMetrics::default());
-        let mut transactor =
-            Transactor::spawn(WriteApply::Volatile(engine), metrics, 0).expect("spawn transactor");
+        let mut transactor = Transactor::spawn(engine, metrics, 0).expect("spawn transactor");
         let sink = Arc::new(RecordingSink::default());
 
         let submitter = {
@@ -113,8 +112,7 @@ fn concurrent_resubmits_of_one_token_apply_once_and_answer_identically() {
         let engine = Arc::new(Engine::builder(graph).cache_capacity(0).threads(1).build());
         let metrics = Arc::new(ServerMetrics::default());
         let mut transactor =
-            Transactor::spawn(WriteApply::Volatile(Arc::clone(&engine) as _), metrics, 8)
-                .expect("spawn transactor");
+            Transactor::spawn(Arc::clone(&engine) as _, metrics, 8).expect("spawn transactor");
         let sink = Arc::new(FrameSink::default());
         let token = WriteToken::new(7, 1);
         let deltas = vec![GraphDelta::insert_vertex(None, &["chaos"])];

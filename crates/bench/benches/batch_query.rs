@@ -1,7 +1,7 @@
 //! Batch-vs-sequential micro-benchmark for the unified `Executor` surface:
 //! the same `Request` workload through (a) a sequential cache-less `Engine`
-//! loop, (b) a single-threaded `BatchEngine` (isolates the shared index
-//! cache from threading) and (c) a multi-threaded `BatchEngine` (adds the
+//! loop, (b) a single-threaded cached `Engine` batch (isolates the shared
+//! index cache from threading) and (c) a multi-threaded one (adds the
 //! worker-pool fan-out).
 //!
 //! A duplicated workload (every request appears twice) is benchmarked
@@ -35,7 +35,7 @@ fn bench_batch_vs_sequential(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(engine.execute_batch(&requests)))
     });
     group.bench_function("batch-4-threads-uncached", |b| {
-        let engine = fx.batch_engine(4).with_cache_capacity(0);
+        let engine = fx.engine(4);
         b.iter(|| std::hint::black_box(engine.execute_batch(&requests)))
     });
     group.finish();

@@ -14,7 +14,6 @@
 #![deny(missing_docs)]
 
 use acq_cltree::{build_advanced, ClTree};
-use acq_core::exec::BatchEngine;
 use acq_core::Engine;
 use acq_datagen::{generate, select_query_vertices, DatasetProfile};
 use acq_graph::{AttributedGraph, VertexId};
@@ -35,11 +34,14 @@ pub struct BenchFixture {
 }
 
 impl BenchFixture {
-    /// A batch engine over this fixture's shared graph and index, with
-    /// `threads` workers (0 = one per core).
-    pub fn batch_engine(&self, threads: usize) -> BatchEngine {
-        BatchEngine::with_index(Arc::clone(&self.graph), Arc::clone(&self.index))
-            .with_threads(threads)
+    /// A cached [`Engine`] over this fixture's shared graph and index, with
+    /// `threads` batch workers (0 = one per core) and the default LRU — the
+    /// serving configuration of the executor benchmarks.
+    pub fn batch_engine(&self, threads: usize) -> Engine {
+        Engine::builder(Arc::clone(&self.graph))
+            .index(Arc::clone(&self.index))
+            .threads(threads)
+            .build()
     }
 
     /// An owning [`Engine`] over this fixture's shared graph and index, with

@@ -24,7 +24,6 @@ pub mod table3;
 pub mod variants;
 
 use acq_cltree::{build_advanced, ClTree};
-use acq_core::exec::BatchEngine;
 use acq_core::Engine;
 use acq_datagen::DatasetProfile;
 use acq_graph::{AttributedGraph, GraphBuilder, VertexId};
@@ -84,11 +83,14 @@ impl Dataset {
         Dataset { name: profile.name.clone(), graph: Arc::new(graph), index: Arc::new(index) }
     }
 
-    /// A batch engine sharing this dataset's graph and index, configured from
-    /// the experiment config's thread count.
-    pub fn batch_engine(&self, config: &ExperimentConfig) -> BatchEngine {
-        BatchEngine::with_index(Arc::clone(&self.graph), Arc::clone(&self.index))
-            .with_threads(config.threads)
+    /// A cached [`Engine`] sharing this dataset's graph and index, with the
+    /// experiment config's thread count — the executor used when an
+    /// experiment times whole batches.
+    pub fn batch_engine(&self, config: &ExperimentConfig) -> Engine {
+        Engine::builder(Arc::clone(&self.graph))
+            .index(Arc::clone(&self.index))
+            .threads(config.threads)
+            .build()
     }
 
     /// An owning cache-less [`Engine`] sharing this dataset's graph and

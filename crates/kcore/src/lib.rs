@@ -15,17 +15,13 @@
 //!   algorithm);
 //! * [`maintenance`] — incremental core-number maintenance under single edge
 //!   insertions and removals (the technique of Li et al. referenced by the
-//!   paper's index-maintenance discussion);
-//! * [`SharedDecomposition`] — an `Arc`-backed handle that lets batch and
-//!   serving workloads share one decomposition across threads without copying
-//!   it per query.
+//!   paper's index-maintenance discussion).
 
 #![deny(missing_docs)]
 
 pub mod decompose;
 pub mod extract;
 pub mod maintenance;
-pub mod shared;
 
 pub use decompose::CoreDecomposition;
 pub use extract::{
@@ -33,7 +29,6 @@ pub use extract::{
     peel_to_kcore_containing, peel_to_kcore_scalar,
 };
 pub use maintenance::MaintenanceOutcome;
-pub use shared::SharedDecomposition;
 
 #[cfg(test)]
 mod proptests {

@@ -108,9 +108,11 @@ pub struct UpdateCounters {
     pub cache_dropped: u64,
 }
 
-/// Counters of the durability layer (delta log + snapshot compaction),
-/// mirrored from `acq_durable::DurabilityStats` so this crate stays
-/// dependency-light. Present only when the server runs a durable engine.
+/// Counters of the durability layer (delta log + snapshot compaction). This
+/// is their one definition: `acq_durable::DurableEngine` fills the struct in
+/// and hands it up through `acq_core::ServingEngine::durability`. Present
+/// only when the server runs a durable engine. All values are since-open
+/// except `snapshot_bytes` (current).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DurabilityCounters {
     /// Record bytes appended (and fsynced) to the delta log since open.

@@ -10,17 +10,20 @@
 //! cargo run --example remote_query
 //! ```
 //!
-//! **Durable mode**: set `ACQ_SERVE_DIR=<path>` to put a crash-safe delta
-//! log under that directory. Every acknowledged update is fsynced before it
-//! is applied, and a restart pointing at the same directory replays the log
-//! (snapshot + valid record suffix) before serving — this is what the CI
-//! `recovery-smoke` job `kill -9`s and restarts. `ACQ_SERVE_COMPACT_EVERY`
-//! overrides the compaction cadence (records between snapshots; 0 disables).
+//! **Durable mode**: set `ACQ_SERVE_DIR=<path>` to wrap the engine in a
+//! `DurableEngine` with its delta log under that directory — the server is
+//! bound the same way either way. Every acknowledged update is fsynced
+//! before it is applied, and a restart pointing at the same directory
+//! replays the log (snapshot + valid record suffix) before serving — this is
+//! what the CI `recovery-smoke` job `kill -9`s and restarts.
+//! `ACQ_SERVE_COMPACT_EVERY` overrides the compaction cadence (records
+//! between snapshots; 0 disables).
 //!
 //! The wire format is specified in `docs/PROTOCOL.md`; tuning knobs and the
 //! metrics dump are covered in `docs/OPERATIONS.md`; the log format and
 //! recovery semantics in `docs/DURABILITY.md`.
 
+use attributed_community_search::durable::FsStorage;
 use attributed_community_search::prelude::*;
 use std::sync::Arc;
 
@@ -34,8 +37,12 @@ fn main() {
         graph.dictionary().len()
     );
 
-    let config = ServerConfig::default();
-    let server = match std::env::var("ACQ_SERVE_DIR") {
+    // The inner engine, built over whichever graph it is handed: the base
+    // graph, or what a durable layer recovered from its directory. Swap in
+    // `ShardedEngine::new(graph, n)` here for a sharded (or durable sharded)
+    // server — nothing below changes.
+    let inner = |graph| Arc::new(Engine::new(graph)) as Arc<dyn ServingEngine>;
+    let engine = match std::env::var("ACQ_SERVE_DIR") {
         Ok(dir) => {
             let mut options = DurableOptions::default();
             if let Some(every) =
@@ -43,8 +50,10 @@ fn main() {
             {
                 options.compact_every = every;
             }
+            let storage = FsStorage::open(&dir).expect("open the durable directory");
             let (durable, recovery) =
-                DurableEngine::open_dir(&dir, graph, options).expect("open the durable state");
+                DurableEngine::open_with(Box::new(storage), graph, options, inner)
+                    .expect("open the durable state");
             println!(
                 "durable mode: dir={dir} snapshot_loaded={} records_replayed={} \
                  truncated_bytes={} generation={}",
@@ -53,13 +62,12 @@ fn main() {
                 recovery.truncated_bytes,
                 recovery.generation
             );
-            Server::bind_durable(&addr, Arc::new(durable), config).expect("bind the serve address")
+            Arc::new(durable)
         }
-        Err(_) => {
-            let engine = Arc::new(Engine::new(graph));
-            Server::bind(&addr, engine, config).expect("bind the serve address")
-        }
+        Err(_) => inner(graph),
     };
+    let server =
+        Server::bind(&addr, engine, ServerConfig::default()).expect("bind the serve address");
     println!("listening on {} (protocol v1, see docs/PROTOCOL.md)", server.local_addr());
 
     match std::env::var("ACQ_SERVE_SECONDS").ok().and_then(|s| s.parse::<u64>().ok()) {

@@ -15,11 +15,11 @@
 //! | [`unionfind`] | union-find and the Anchored Union-Find |
 //! | [`fpm`] | Apriori and FP-Growth frequent-itemset mining |
 //! | [`cltree`] | the CL-tree index (basic/advanced construction, maintenance) |
-//! | [`acq`] | the ACQ problem, the `basic-g`/`basic-w`/`Inc-S`/`Inc-T`/`Dec` algorithms, variants, and the unified [`Request`](acq::Request)/[`Executor`](acq::Executor) surface served by the owning [`Engine`](acq::Engine) and the batch layer ([`BatchEngine`](acq::exec::BatchEngine)) |
+//! | [`acq`] | the ACQ problem, the `basic-g`/`basic-w`/`Inc-S`/`Inc-T`/`Dec` algorithms, variants, and the unified [`Request`](acq::Request)/[`Executor`](acq::Executor) surface served by the owning [`Engine`](acq::Engine) and the [`ShardedEngine`](acq::ShardedEngine), both behind the [`ServingEngine`](acq::ServingEngine) seam |
 //! | [`baselines`] | Global, Local, CODICIL-style detection, star-pattern GPM |
 //! | [`metrics`] | CMF, CPJ, MF and structural cohesion measures; metrics wire shapes |
 //! | [`server`] | framed TCP serving front-end: [`Server`](server::Server), transactor write path, [`Client`](server::Client) (see `docs/PROTOCOL.md`) |
-//! | [`durable`] | crash-safe delta log, snapshot compaction, [`DurableEngine`](durable::DurableEngine) replay recovery (see `docs/DURABILITY.md`) |
+//! | [`durable`] | crash-safe delta log, snapshot compaction, and [`DurableEngine`](durable::DurableEngine), the log-then-apply decorator over any `ServingEngine` (see `docs/DURABILITY.md`) |
 //! | [`datagen`] | synthetic dataset profiles, generator, workloads, case study |
 //!
 //! ## Quick start
@@ -53,8 +53,8 @@
 //! ```
 //!
 //! For many queries against one graph, hand the whole slice to
-//! [`Executor::execute_batch`](prelude::Executor::execute_batch) — both
-//! engines share the index, its core decomposition and an LRU cache across a
+//! [`Executor::execute_batch`](prelude::Executor::execute_batch) — the
+//! engine shares the index, its core decomposition and an LRU cache across a
 //! worker pool (see `ARCHITECTURE.md` for where this layer sits):
 //!
 //! ```
@@ -89,22 +89,18 @@ pub use acq_unionfind as unionfind;
 /// The most commonly used items, importable with a single `use`.
 pub mod prelude {
     pub use acq_cltree::{build_advanced, build_basic, ClTree};
-    pub use acq_core::exec::{BatchEngine, CacheStats};
-    #[allow(deprecated)]
-    pub use acq_core::AcqEngine;
-    #[allow(deprecated)]
-    pub use acq_core::QueryBatch;
+    pub use acq_core::exec::CacheStats;
     pub use acq_core::{
         AcqAlgorithm, AcqQuery, AcqResult, AttributedCommunity, Engine, EngineBuilder,
-        ExecutionMeta, Executor, QueryError, QuerySpec, Request, Response, UpdateReport,
-        UpdateStrategy, Variant1Query, Variant2Query,
+        ExecutionMeta, Executor, QueryError, QuerySpec, Request, Response, ServingEngine,
+        ShardedEngine, UpdateReport, UpdateStrategy, Variant1Query, Variant2Query,
     };
     pub use acq_durable::{DurableEngine, DurableOptions, RecoveryReport};
     pub use acq_graph::{
         paper_figure3_graph, AppliedDelta, AttributedGraph, GraphBuilder, GraphDelta, KeywordId,
         KeywordSet, VertexId, VertexSubset,
     };
-    pub use acq_kcore::{CoreDecomposition, SharedDecomposition};
+    pub use acq_kcore::CoreDecomposition;
     pub use acq_metrics::serving::MetricsSnapshot;
     pub use acq_server::{Client, Server, ServerConfig, ServerHandle};
 }

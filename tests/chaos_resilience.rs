@@ -14,7 +14,12 @@
 //!   each batch once;
 //! * and the dedup window demonstrably did the saving (`acq_dedup_hits > 0`
 //!   — the CI chaos-smoke job greps for it).
+//!
+//! The durable server wraps either inner engine — a single `Engine` or a
+//! 3-shard `ShardedEngine` — and the property holds for both, down to the
+//! same final graph bytes.
 
+use attributed_community_search::durable::FsStorage;
 use attributed_community_search::prelude::*;
 use attributed_community_search::server::{ChaosConfig, ChaosProxy, ClientConfig, RetryPolicy};
 use std::sync::Arc;
@@ -38,18 +43,34 @@ fn chaos_batches(base_vertices: u32, count: usize) -> Vec<Vec<GraphDelta>> {
         .collect()
 }
 
-/// A fresh durable server over its own temp dir; returns the handle and the
-/// engine clone the assertions read the final graph through.
-fn durable_server(tag: &str) -> (ServerHandle, Arc<DurableEngine>, std::path::PathBuf) {
+/// Builds the engine a durable layer wraps, over the graph it recovered.
+type BuildInner = fn(Arc<AttributedGraph>) -> Arc<dyn ServingEngine>;
+
+fn single_engine(graph: Arc<AttributedGraph>) -> Arc<dyn ServingEngine> {
+    Arc::new(Engine::new(graph))
+}
+
+fn three_shards(graph: Arc<AttributedGraph>) -> Arc<dyn ServingEngine> {
+    Arc::new(ShardedEngine::new(graph, 3))
+}
+
+/// A fresh durable server over its own temp dir, wrapping whatever `inner`
+/// builds; returns the handle and the engine clone the assertions read the
+/// final graph through.
+fn durable_server(
+    tag: &str,
+    inner: BuildInner,
+) -> (ServerHandle, Arc<DurableEngine>, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("acq-chaos-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let storage = FsStorage::open(&dir).expect("create temp dir");
     let base = Arc::new(paper_figure3_graph());
     let (durable, _) =
-        DurableEngine::open_dir(&dir, base, DurableOptions::default()).expect("open durable dir");
+        DurableEngine::open_with(Box::new(storage), base, DurableOptions::default(), inner)
+            .expect("open durable dir");
     let durable = Arc::new(durable);
     let config = ServerConfig { read_timeout_ms: 5_000, ..Default::default() };
-    let server = Server::bind_durable("127.0.0.1:0", Arc::clone(&durable), config)
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&durable) as _, config)
         .expect("bind durable server");
     (server, durable, dir)
 }
@@ -74,11 +95,26 @@ fn chaos_client_config() -> ClientConfig {
 
 #[test]
 fn retried_writes_through_chaos_are_exactly_once_and_byte_identical() {
+    let mut final_graphs = Vec::new();
+    for (tag, inner, shards) in
+        [("engine", single_engine as BuildInner, 0), ("sharded", three_shards as BuildInner, 3)]
+    {
+        final_graphs.push(exactly_once_through_chaos(tag, inner, shards));
+    }
+    assert_eq!(
+        final_graphs[1], final_graphs[0],
+        "durable x sharded must leave the same graph bytes as durable x single"
+    );
+}
+
+/// One chaos run against a durable server over `inner`, compared with a
+/// fault-free run of the same stack; returns the final graph's bytes.
+fn exactly_once_through_chaos(tag: &str, inner: BuildInner, shards: usize) -> String {
     let batch_count = 20;
 
     // Reference run: the same batch stream over a perfect network.
-    let (clean_server, clean_durable, clean_dir) = durable_server("clean");
-    let base_vertices = clean_durable.engine().graph().vertices().count() as u32;
+    let (clean_server, clean_durable, clean_dir) = durable_server(&format!("clean-{tag}"), inner);
+    let base_vertices = clean_durable.graph().vertices().count() as u32;
     let batches = chaos_batches(base_vertices, batch_count);
     let clean_reports: Vec<String> = {
         let mut client =
@@ -94,7 +130,7 @@ fn retried_writes_through_chaos_are_exactly_once_and_byte_identical() {
     };
 
     // Chaos run: same stream, but every frame crosses the proxy.
-    let (chaos_server, chaos_durable, chaos_dir) = durable_server("faulty");
+    let (chaos_server, chaos_durable, chaos_dir) = durable_server(&format!("faulty-{tag}"), inner);
     let proxy = ChaosProxy::start(chaos_server.local_addr(), ChaosConfig { seed: 7, delay_ms: 5 })
         .expect("start chaos proxy");
     let mut client = Client::connect_with_config(proxy.local_addr(), chaos_client_config())
@@ -105,36 +141,46 @@ fn retried_writes_through_chaos_are_exactly_once_and_byte_identical() {
         // Exactly-once: the empty-dir server starts at generation 1, so the
         // i-th acknowledged batch lands generation 2 + i — a lost-ack retry
         // that re-applied would skip a generation here.
-        assert_eq!(report.generation, 2 + i as u64, "batch {i}: a retry must never double-apply");
+        assert_eq!(
+            report.generation,
+            2 + i as u64,
+            "{tag} batch {i}: a retry must never double-apply"
+        );
         assert_eq!(
             serde_json::to_string(&report).expect("report serialises"),
             clean_reports[i],
-            "batch {i}: the chaos-run UpdateOk must be byte-identical to the clean run's"
+            "{tag} batch {i}: the chaos-run UpdateOk must be byte-identical to the clean run's"
         );
     }
 
     // The final graph is byte-identical to the fault-free run's.
+    let final_graph = serde_json::to_string(&*chaos_durable.graph()).expect("graph serialises");
     assert_eq!(
-        serde_json::to_string(&*chaos_durable.engine().graph()).expect("graph serialises"),
-        serde_json::to_string(&*clean_durable.engine().graph()).expect("graph serialises"),
-        "chaos must not leave a different graph behind"
+        final_graph,
+        serde_json::to_string(&*clean_durable.graph()).expect("graph serialises"),
+        "{tag}: chaos must not leave a different graph behind"
     );
 
     // The chaos was real and the dedup window did the saving. Metrics are
     // read over a direct connection — the proxy stays out of the verdict.
     let stats = client.stats();
-    assert!(stats.retries > 0, "the proxy must have forced at least one retry");
+    assert!(stats.retries > 0, "{tag}: the proxy must have forced at least one retry");
     let mut direct =
         Client::connect(chaos_server.local_addr()).expect("connect directly for metrics");
     let snapshot = direct.metrics().expect("metrics");
     assert!(
         snapshot.server.dedup_hits > 0,
-        "at least one lost-ack retry must have been answered from the dedup window"
+        "{tag}: at least one lost-ack retry must have been answered from the dedup window"
     );
+    // One stack, both capabilities: the Metrics frame of a durable server
+    // carries the log counters whatever it wraps, plus one entry per shard.
+    let durability = snapshot.durability.expect("a durable server reports its log counters");
+    assert_eq!(durability.log_records_appended, batch_count as u64);
+    assert_eq!(snapshot.shards.len(), shards, "{tag}: shard entries in the Metrics frame");
     // The CI chaos-smoke job greps this exact line out of the test output.
     println!("acq_dedup_hits {}", snapshot.server.dedup_hits);
     println!(
-        "client retries {} reconnects {} timeouts {}",
+        "{tag}: client retries {} reconnects {} timeouts {}",
         stats.retries, stats.reconnects, stats.timeouts
     );
 
@@ -143,13 +189,14 @@ fn retried_writes_through_chaos_are_exactly_once_and_byte_identical() {
     clean_server.shutdown();
     let _ = std::fs::remove_dir_all(chaos_dir);
     let _ = std::fs::remove_dir_all(clean_dir);
+    final_graph
 }
 
 /// Queries keep working through the same chaos, and a query answered
 /// through the proxy matches one answered directly.
 #[test]
 fn queries_through_chaos_match_direct_answers() {
-    let (server, durable, dir) = durable_server("query");
+    let (server, durable, dir) = durable_server("query", single_engine);
     let proxy = ChaosProxy::start(server.local_addr(), ChaosConfig { seed: 11, delay_ms: 2 })
         .expect("start chaos proxy");
     let request = Request::community(VertexId(0)).k(2);

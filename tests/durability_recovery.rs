@@ -102,7 +102,7 @@ fn assert_engine_matches_prefix(
     for batch in expected {
         reference.apply_updates(batch).expect("acknowledged batches apply");
     }
-    let (live, fresh) = (durable.engine(), reference);
+    let (live, fresh) = (durable, reference);
     assert_eq!(live.generation(), fresh.generation());
     assert_eq!(
         serde_json::to_string(&*live.graph()).unwrap(),
@@ -250,18 +250,18 @@ proptest! {
 fn compaction_snapshot_recovers_without_replaying_folded_records() {
     let base = Arc::new(paper_figure3_graph());
     let disk = MemStorage::new();
-    let options = DurableOptions { compact_every: 2, ..DurableOptions::default() };
+    let options = DurableOptions { compact_every: 2 };
     let (durable, _) =
         DurableEngine::open(Box::new(disk.clone()), Arc::clone(&base), options).unwrap();
     for i in 0..5u32 {
-        durable.log_and_apply(&[GraphDelta::insert_vertex(None, &[&format!("snap{i}")])]).unwrap();
+        durable.write(None, &[GraphDelta::insert_vertex(None, &[&format!("snap{i}")])]).unwrap();
     }
-    let stats = durable.stats();
+    let stats = durable.durability().expect("a durable engine reports its counters");
     assert!(stats.compactions >= 2, "compact_every=2 over 5 batches: {stats:?}");
     assert!(stats.snapshot_bytes > 0);
     assert_eq!(stats.compaction_failures, 0);
     assert!(stats.last_compaction_micros > 0);
-    let expected_graph = serde_json::to_string(&*durable.engine().graph()).unwrap();
+    let expected_graph = serde_json::to_string(&*durable.graph()).unwrap();
     drop(durable);
 
     let (reopened, report) =
@@ -272,7 +272,7 @@ fn compaction_snapshot_recovers_without_replaying_folded_records() {
         "snapshot-covered records replayed: {}",
         report.records_replayed
     );
-    assert_eq!(serde_json::to_string(&*reopened.engine().graph()).unwrap(), expected_graph);
+    assert_eq!(serde_json::to_string(&*reopened.graph()).unwrap(), expected_graph);
 }
 
 #[test]
@@ -282,14 +282,14 @@ fn a_rejected_batch_is_rolled_out_of_the_log() {
     let (durable, _) =
         DurableEngine::open(Box::new(disk.clone()), Arc::clone(&base), DurableOptions::default())
             .unwrap();
-    durable.log_and_apply(&[GraphDelta::insert_edge(VertexId(0), VertexId(5))]).unwrap();
+    durable.write(None, &[GraphDelta::insert_edge(VertexId(0), VertexId(5))]).unwrap();
     // Vertex 999 does not exist: the engine refuses the batch, so the log
     // entry written ahead of it must be rolled back, not replayed later.
     let err =
-        durable.log_and_apply(&[GraphDelta::insert_edge(VertexId(0), VertexId(999))]).unwrap_err();
+        durable.write(None, &[GraphDelta::insert_edge(VertexId(0), VertexId(999))]).unwrap_err();
     assert!(err.to_string().contains("999"), "unexpected error: {err}");
-    assert_eq!(durable.engine().generation(), 2, "rejected batch must not apply");
-    durable.log_and_apply(&[GraphDelta::remove_edge(VertexId(0), VertexId(5))]).unwrap();
+    assert_eq!(durable.generation(), 2, "rejected batch must not apply");
+    durable.write(None, &[GraphDelta::remove_edge(VertexId(0), VertexId(5))]).unwrap();
     drop(durable);
 
     let (_, recovered) = DeltaLog::open(Box::new(disk)).unwrap();
@@ -314,10 +314,10 @@ fn an_unpersisted_batch_is_neither_acknowledged_nor_applied() {
     // append tears immediately.
     faulty.crash_after_bytes(8);
     let err =
-        durable.log_and_apply(&[GraphDelta::insert_edge(VertexId(0), VertexId(5))]).unwrap_err();
-    assert!(err.to_string().contains("durability failure"), "unexpected error: {err}");
-    assert_eq!(durable.engine().generation(), 1, "unlogged batch must not apply");
-    assert!(!durable.engine().graph().has_edge(VertexId(0), VertexId(5)));
+        durable.write(None, &[GraphDelta::insert_edge(VertexId(0), VertexId(5))]).unwrap_err();
+    assert!(err.to_string().contains("not persisted"), "unexpected error: {err}");
+    assert_eq!(durable.generation(), 1, "unlogged batch must not apply");
+    assert!(!durable.graph().has_edge(VertexId(0), VertexId(5)));
 }
 
 #[test]
@@ -390,7 +390,7 @@ fn dedup_window_evicts_at_capacity_and_an_evicted_token_reapplies() {
     for seq in 1..=3u64 {
         let token = WriteToken::new(1, seq);
         let batch = vec![GraphDelta::InsertVertex { label: None, keywords: vec![] }];
-        let report = durable.log_and_apply_tokened(Some(&token), &batch).unwrap();
+        let report = durable.write(Some(&token), &batch).unwrap();
         window.record(token, report);
     }
     assert_eq!(window.len(), 2, "the window is bounded at its capacity");
@@ -400,10 +400,10 @@ fn dedup_window_evicts_at_capacity_and_an_evicted_token_reapplies() {
 
     // A retry of the evicted token is not recognised: it applies again, as a
     // fresh write would. generation 4 (base 1 + three batches) becomes 5.
-    let generation_before = durable.engine().generation();
+    let generation_before = durable.generation();
     let token = WriteToken::new(1, 1);
     let batch = vec![GraphDelta::InsertVertex { label: None, keywords: vec![] }];
-    let report = durable.log_and_apply_tokened(Some(&token), &batch).unwrap();
+    let report = durable.write(Some(&token), &batch).unwrap();
     assert_eq!(report.generation, generation_before + 1, "an evicted token re-applies");
 }
 
@@ -428,10 +428,10 @@ fn dedup_tokens_survive_crash_recovery_through_open_dir() {
             .iter()
             .map(|token| {
                 let batch = vec![GraphDelta::InsertVertex { label: None, keywords: vec![] }];
-                durable.log_and_apply_tokened(Some(token), &batch).unwrap()
+                durable.write(Some(token), &batch).unwrap()
             })
             .collect();
-        durable.log_and_apply(&[GraphDelta::insert_edge(VertexId(7), VertexId(5))]).unwrap();
+        durable.write(None, &[GraphDelta::insert_edge(VertexId(7), VertexId(5))]).unwrap();
         reports
         // drop = crash: nothing about the window itself was persisted.
     };

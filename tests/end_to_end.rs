@@ -217,26 +217,25 @@ fn graph_io_roundtrip_preserves_query_results() {
     assert_eq!(names(&graph, &result_a), names(&reloaded, &result_b));
 }
 
-/// The two executors through the prelude: a generated dataset is queried once
-/// through the owning `Engine` and once through a multi-threaded
-/// `BatchEngine`, and the communities must be identical (including the work
-/// counters). Also pins the prelude re-exports of `Engine`, `Executor`,
-/// `BatchEngine`, `CacheStats` and `SharedDecomposition`.
+/// The batch path end to end: a generated dataset is queried once through a
+/// sequential cache-less `Engine` and once as a batch through a cached
+/// 4-worker `Engine` sharing its index, and the results must be identical
+/// (including the work counters), in input order. Also pins the prelude
+/// re-exports of `Engine`, `Executor` and `CacheStats`.
 #[test]
 fn both_executors_agree_end_to_end() {
     let graph = Arc::new(generated_graph());
-    let batch_engine = BatchEngine::new(Arc::clone(&graph)).with_threads(4);
+    let batch_engine = Engine::builder(Arc::clone(&graph)).threads(4).build();
     let sequential = Engine::builder(Arc::clone(&graph))
-        .index(Arc::clone(batch_engine.index()))
+        .index(batch_engine.index())
         .cache_capacity(0)
         .threads(1)
         .build();
 
-    // The decomposition handle is shared, not recomputed.
-    let decomposition: &SharedDecomposition = batch_engine.decomposition();
+    let index = batch_engine.index();
     let requests: Vec<Request> = graph
         .vertices()
-        .filter(|&v| decomposition.core_number(v) >= 3)
+        .filter(|&v| index.core_number(v) >= 3)
         .take(12)
         .map(|v| Request::community(v).k(3))
         .collect();

@@ -3,8 +3,9 @@
 //! around the unified `Request`/`Executor` surface:
 //!
 //! * **executor equivalence** — any request (all three spec kinds, every
-//!   algorithm) produces canonical-identical communities from the sequential
-//!   owning `Engine` and from a `BatchEngine`, across thread counts;
+//!   algorithm) produces identical results from the sequential cache-less
+//!   `Engine` and from cached, pooled `Engine`s across thread counts and
+//!   cache capacities, cold and warm;
 //! * the monotonicity properties of the problem variants.
 
 use attributed_community_search::datagen;
@@ -29,19 +30,26 @@ fn reference_engine() -> &'static Engine {
     })
 }
 
-/// Batch executors sharing the reference index, at several worker counts.
-fn batch_engines() -> &'static Vec<BatchEngine> {
-    static ENGINES: OnceLock<Vec<BatchEngine>> = OnceLock::new();
+/// Cached, pooled engines sharing the reference index: 1, 2 and 4 workers,
+/// each with a comfortable cache (64) and one small enough (3) that the LRU
+/// keeps evicting throughout a batch.
+fn batch_engines() -> &'static Vec<Engine> {
+    static ENGINES: OnceLock<Vec<Engine>> = OnceLock::new();
     ENGINES.get_or_init(|| {
         let index = reference_engine().index();
-        [1usize, 2, 4]
-            .iter()
-            .map(|&threads| {
-                BatchEngine::with_index(Arc::clone(shared_graph()), Arc::clone(&index))
-                    .with_threads(threads)
-                    .with_cache_capacity(64)
-            })
-            .collect()
+        let mut engines = Vec::new();
+        for threads in [1usize, 2, 4] {
+            for capacity in [64usize, 3] {
+                engines.push(
+                    Engine::builder(Arc::clone(shared_graph()))
+                        .index(Arc::clone(&index))
+                        .threads(threads)
+                        .cache_capacity(capacity)
+                        .build(),
+                );
+            }
+        }
+        engines
     })
 }
 
@@ -76,10 +84,12 @@ fn arb_request() -> impl Strategy<Value = Request> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Executor equivalence: for any batch of requests, every `BatchEngine`
-    /// (1, 2 and 4 workers, shared LRU cache) returns canonical-identical
-    /// communities to the sequential cache-less `Engine` — all three spec
-    /// kinds and all seven algorithms flow through this single property.
+    /// Executor equivalence: for any batch of requests, every pooled engine
+    /// (1, 2 and 4 workers; roomy and evicting LRU) returns the same results
+    /// — communities, label size and work counters — as the sequential
+    /// cache-less `Engine`, on a first run and again on a second run over
+    /// whatever the first left in the cache. All three spec kinds and all
+    /// seven algorithms flow through this single property.
     #[test]
     fn executors_agree_for_any_request(requests in proptest::collection::vec(arb_request(), 1..10)) {
         let sequential = reference_engine();
@@ -88,14 +98,16 @@ proptest! {
             .map(|request| sequential.execute(request).map(|r| r.result))
             .collect();
         for engine in batch_engines() {
-            let batched = engine.execute_batch(&requests);
-            prop_assert_eq!(batched.len(), expected.len());
-            for ((request, got), want) in requests.iter().zip(&batched).zip(&expected) {
-                let got = got.clone().map(|r| r.result);
-                prop_assert_eq!(
-                    &got, want,
-                    "request {:?} must agree across executors", request
-                );
+            for run in ["first", "second"] {
+                let batched = engine.execute_batch(&requests);
+                prop_assert_eq!(batched.len(), expected.len());
+                for ((request, got), want) in requests.iter().zip(&batched).zip(&expected) {
+                    let got = got.clone().map(|r| r.result);
+                    prop_assert_eq!(
+                        &got, want,
+                        "{} run: request {:?} must agree across executors", run, request
+                    );
+                }
             }
         }
     }

@@ -12,6 +12,7 @@
 //! `1 + i` deterministically means "the initial graph plus the first `i`
 //! batches".
 
+use attributed_community_search::durable::FsStorage;
 use attributed_community_search::prelude::*;
 use attributed_community_search::server::{
     codes, encode, read_frame, Client, ClientError, Frame, FrameKind, Server, WireError,
@@ -204,9 +205,22 @@ fn queries_under_a_write_stream_replay_byte_identical() {
     }
 }
 
+/// Builds the engine a durable layer wraps, over the graph it recovered.
+type BuildInner = fn(Arc<AttributedGraph>) -> Arc<dyn ServingEngine>;
+
 #[test]
 fn a_restarted_durable_server_answers_byte_identical_to_an_unrestarted_one() {
-    let dir = std::env::temp_dir().join(format!("acq-restart-{}", std::process::id()));
+    // The durable layer is a decorator: the same restart must hold whatever
+    // engine it wraps. `shards` is what the Metrics frame must then report.
+    let single: BuildInner = |graph| Arc::new(Engine::new(graph));
+    let sharded: BuildInner = |graph| Arc::new(ShardedEngine::new(graph, 3));
+    for (tag, inner, shards) in [("engine", single, 0), ("sharded", sharded, 3)] {
+        restart_is_byte_identical(tag, inner, shards);
+    }
+}
+
+fn restart_is_byte_identical(tag: &str, inner: BuildInner, shards: usize) {
+    let dir = std::env::temp_dir().join(format!("acq-restart-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let base = Arc::new(paper_figure3_graph());
 
@@ -220,17 +234,20 @@ fn a_restarted_durable_server_answers_byte_identical_to_an_unrestarted_one() {
         vec![GraphDelta::InsertEdge { u: VertexId(5), v: VertexId(0) }],
         vec![GraphDelta::RemoveKeyword { vertex: VertexId(4), term: "y".to_string() }],
     ];
-    let options = DurableOptions { compact_every: 3, ..DurableOptions::default() };
+    let open = || {
+        let storage = FsStorage::open(&dir).expect("open durable dir");
+        let options = DurableOptions { compact_every: 3 };
+        DurableEngine::open_with(Box::new(storage), Arc::clone(&base), options, inner)
+            .expect("open durable state")
+    };
 
     // Phase 1: a durable server takes the writes, answers some queries, and
     // shuts down cleanly.
     let first_run: Vec<String> = {
-        let (durable, report) =
-            DurableEngine::open_dir(&dir, Arc::clone(&base), options).expect("open durable dir");
+        let (durable, report) = open();
         assert_eq!(report.records_replayed, 0, "a fresh directory has nothing to replay");
-        let server =
-            Server::bind_durable("127.0.0.1:0", Arc::new(durable), ServerConfig::default())
-                .expect("bind durable loopback");
+        let server = Server::bind("127.0.0.1:0", Arc::new(durable), ServerConfig::default())
+            .expect("bind durable loopback");
         let mut client = Client::connect(server.local_addr()).expect("connect");
         for (i, batch) in batches.iter().enumerate() {
             let report = client.update(batch).expect("durable update acknowledged");
@@ -240,11 +257,14 @@ fn a_restarted_durable_server_answers_byte_identical_to_an_unrestarted_one() {
             .iter()
             .map(|r| result_bytes(&client.query(r).expect("query answered")))
             .collect();
-        let snapshot = server.metrics_snapshot();
+        // The wire Metrics frame carries what every layer of the stack
+        // reports: the log counters and one entry per shard.
+        let snapshot = client.metrics().expect("metrics frame");
         let durability = snapshot.durability.expect("durable server exports durability counters");
         assert_eq!(durability.log_records_appended, batches.len() as u64);
         assert!(durability.log_bytes_appended > 0);
         assert!(durability.compactions >= 1, "compact_every=3 over 5 batches must compact");
+        assert_eq!(snapshot.shards.len(), shards, "{tag}: shard entries in the Metrics frame");
         server.shutdown();
         answers
     };
@@ -252,8 +272,7 @@ fn a_restarted_durable_server_answers_byte_identical_to_an_unrestarted_one() {
     // Phase 2: a new process image opens the same directory. Recovery loads
     // the snapshot and replays only the records it does not cover.
     let restarted: Vec<String> = {
-        let (durable, report) =
-            DurableEngine::open_dir(&dir, Arc::clone(&base), options).expect("reopen durable dir");
+        let (durable, report) = open();
         assert!(report.snapshot_loaded, "compaction installed a snapshot");
         assert!(
             report.records_replayed > 0 && report.records_replayed < batches.len() as u64,
@@ -261,9 +280,8 @@ fn a_restarted_durable_server_answers_byte_identical_to_an_unrestarted_one() {
             report.records_replayed
         );
         assert_eq!(report.batches_skipped, 0);
-        let server =
-            Server::bind_durable("127.0.0.1:0", Arc::new(durable), ServerConfig::default())
-                .expect("rebind durable loopback");
+        let server = Server::bind("127.0.0.1:0", Arc::new(durable), ServerConfig::default())
+            .expect("rebind durable loopback");
         let mut client = Client::connect(server.local_addr()).expect("reconnect");
         let answers = request_mix(&base)
             .iter()
@@ -276,8 +294,8 @@ fn a_restarted_durable_server_answers_byte_identical_to_an_unrestarted_one() {
         answers
     };
 
-    // The reference: an engine that never restarted — it simply applied
-    // every acknowledged batch in order.
+    // The reference: a single engine that never restarted — it simply
+    // applied every acknowledged batch in order.
     let reference = Engine::new(Arc::clone(&base));
     for batch in &batches {
         reference.apply_updates(batch).expect("reference applies");
@@ -286,8 +304,8 @@ fn a_restarted_durable_server_answers_byte_identical_to_an_unrestarted_one() {
         .iter()
         .map(|r| result_bytes(&reference.execute(r).expect("reference executes")))
         .collect();
-    assert_eq!(first_run, expected, "pre-restart durable answers diverged");
-    assert_eq!(restarted, expected, "post-restart answers must be byte-identical");
+    assert_eq!(first_run, expected, "{tag}: pre-restart durable answers diverged");
+    assert_eq!(restarted, expected, "{tag}: post-restart answers must be byte-identical");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -359,6 +377,32 @@ fn malformed_frames_draw_errors_and_the_connection_survives() {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.write_all(&encode(&Frame::control(FrameKind::Pong, 11))).expect("write");
     expect_error_frame(&stream, codes::UNKNOWN_KIND);
+
+    // Well-formed JSON of the wrong type: the error is the one the form the
+    // client actually sent (bare or envelope) produces for the value that is
+    // actually wrong — never a missing field of the other form.
+    let request = serde_json::to_string(&Request::community(VertexId(0)).k(2)).expect("request");
+    let bad_k = request.replace("\"k\":2", "\"k\":\"two\"");
+    assert_ne!(bad_k, request, "the fixture must actually corrupt `k`");
+    let bad_delta = "[{\"InsertEdge\":{\"u\":0,\"v\":\"x\"}}]".to_string();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    for (id, kind, payload) in [
+        (12, FrameKind::Query, bad_k.clone()),
+        (13, FrameKind::Query, format!("{{\"request\":{bad_k}}}")),
+        (14, FrameKind::Update, bad_delta),
+    ] {
+        stream.write_all(&encode(&Frame::new(kind, id, payload.into_bytes()))).expect("write");
+        let err = expect_error_frame(&stream, codes::MALFORMED_PAYLOAD);
+        assert_eq!(err.request_id, id);
+        let message = String::from_utf8(err.payload).expect("UTF-8 payload");
+        assert!(
+            message.contains("expected unsigned integer, found string"),
+            "frame {id} should name the wrong type: {message}"
+        );
+        assert!(!message.contains("missing field"), "frame {id} blames the other form: {message}");
+    }
+    stream.write_all(&encode(&Frame::control(FrameKind::Ping, 15))).expect("write after errors");
+    assert_eq!(recv_raw(&stream).expect("frame").expect("pong").kind, FrameKind::Pong);
 
     server_is_alive();
 }

@@ -90,7 +90,7 @@ fn first_party_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
 }
 
 /// Recursively collects `.rs` files, sorted for deterministic output.
-fn rust_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
+pub(crate) fn rust_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(dir) = stack.pop() {
@@ -109,11 +109,11 @@ fn rust_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
 
 /// One source line paired with its sanitised form (comments and string
 /// literals blanked) and whether it sits inside a `#[cfg(test)]` block.
-struct Line<'a> {
+pub(crate) struct Line<'a> {
     number: usize,
     raw: &'a str,
-    code: String,
-    in_test: bool,
+    pub(crate) code: String,
+    pub(crate) in_test: bool,
 }
 
 /// Lexer state carried across lines while sanitising.
@@ -125,7 +125,7 @@ enum State {
 }
 
 /// Produces the sanitised, test-annotated view every rule scans.
-fn analyze(source: &str) -> Vec<Line<'_>> {
+pub(crate) fn analyze(source: &str) -> Vec<Line<'_>> {
     let mut lines = Vec::new();
     let mut state = State::Normal;
     // `#[cfg(test)]` region tracking: armed once the attribute is seen,
