@@ -14,7 +14,6 @@
 
 use crate::algorithms::basic::assemble;
 use crate::common::{verify_candidate, KeywordPools, KeywordSetVec};
-use crate::exec::IndexCache;
 use crate::query::{AcqQuery, AcqResult, QueryStats};
 use acq_cltree::ClTree;
 use acq_fpm::{mine_frequent_itemsets, MiningAlgorithm, Transaction};
@@ -31,21 +30,6 @@ pub fn dec_with_miner(
     index: &ClTree,
     query: &AcqQuery,
     miner: MiningAlgorithm,
-) -> AcqResult {
-    dec_cached(graph, index, query, miner, &IndexCache::disabled())
-}
-
-/// `Dec` against a shared [`IndexCache`]: core extraction goes through the
-/// cache, so repeated queries against the same ĉore skip the tree walk. The
-/// cached values are exactly what the uncached path computes, making this
-/// byte-identical to [`dec_with_miner`] — it is the entry point the batch
-/// engine uses.
-pub(crate) fn dec_cached(
-    graph: &AttributedGraph,
-    index: &ClTree,
-    query: &AcqQuery,
-    miner: MiningAlgorithm,
-    cache: &IndexCache,
 ) -> AcqResult {
     let mut stats = QueryStats::default();
     let q = query.vertex;
@@ -64,13 +48,14 @@ pub(crate) fn dec_cached(
     //      (lines 3-4). The same merge walk that counts the shares builds the
     //      per-keyword vertex pools candidate verification later intersects
     //      word-parallel, so the pools come at the cost of a few bit inserts
-    //      on top of the share pass the pre-bitset code already ran. ----
+    //      on top of the share pass the pre-bitset code already ran. The
+    //      k-ĉore streams off the tree straight into the share list. ----
     let n = graph.num_vertices();
-    let subtree = cache.subtree_vertices(index, root_k, k as u32);
     let (single_pools, share_count) =
-        KeywordPools::build_with_shares(graph, subtree.iter().copied(), &s);
+        KeywordPools::build_with_shares(graph, index.subtree_vertex_iter(root_k), &s);
 
-    let fallback = || Some(VertexSubset::from_iter(graph.num_vertices(), subtree.iter().copied()));
+    // The plain k-ĉore: every subtree vertex has a share entry.
+    let fallback = || Some(VertexSubset::from_iter(n, share_count.iter().map(|&(v, _)| v)));
 
     let h = candidates_by_size.len();
     if h == 0 {

@@ -16,8 +16,7 @@
 //!   memory.
 
 use crate::algorithms::basic::assemble;
-use crate::common::{generate_candidates, verify_candidate, KeywordSetVec};
-use crate::exec::IndexCache;
+use crate::common::{generate_candidates, keyword_pool, verify_candidate, KeywordSetVec};
 use crate::query::{AcqQuery, AcqResult, QueryStats};
 use acq_cltree::ClTree;
 use acq_graph::{AttributedGraph, VertexSubset};
@@ -30,18 +29,6 @@ pub fn inc_s(
     index: &ClTree,
     query: &AcqQuery,
     use_inverted_lists: bool,
-) -> AcqResult {
-    inc_s_cached(graph, index, query, use_inverted_lists, &IndexCache::disabled())
-}
-
-/// `Inc-S` against a shared [`IndexCache`] (the batch-engine entry point);
-/// byte-identical to [`inc_s`], keyword pools are served from the cache.
-pub(crate) fn inc_s_cached(
-    graph: &AttributedGraph,
-    index: &ClTree,
-    query: &AcqQuery,
-    use_inverted_lists: bool,
-    cache: &IndexCache,
 ) -> AcqResult {
     let mut stats = QueryStats::default();
     let q = query.vertex;
@@ -64,7 +51,7 @@ pub(crate) fn inc_s_cached(
         let mut phi_cores: Vec<(KeywordSetVec, u32)> = Vec::new();
         for (candidate, core_bound) in &psi {
             let node = index.locate_core(q, *core_bound).expect("core bound never exceeds core(q)");
-            let pool = cache.keyword_pool(graph, index, node, k, candidate, use_inverted_lists);
+            let pool = keyword_pool(graph, index, node, candidate, use_inverted_lists);
             if let Some(community) = verify_candidate(graph, q, query.k, &pool, &mut stats) {
                 stats.qualified_sets += 1;
                 let community_core = index
@@ -112,19 +99,6 @@ pub fn inc_t(
     query: &AcqQuery,
     use_inverted_lists: bool,
 ) -> AcqResult {
-    inc_t_cached(graph, index, query, use_inverted_lists, &IndexCache::disabled())
-}
-
-/// `Inc-T` against a shared [`IndexCache`] (the batch-engine entry point);
-/// byte-identical to [`inc_t`], core extraction and the level-1 keyword pools
-/// are served from the cache.
-pub(crate) fn inc_t_cached(
-    graph: &AttributedGraph,
-    index: &ClTree,
-    query: &AcqQuery,
-    use_inverted_lists: bool,
-    cache: &IndexCache,
-) -> AcqResult {
     let mut stats = QueryStats::default();
     let q = query.vertex;
     let k = query.k as u32;
@@ -134,8 +108,6 @@ pub(crate) fn inc_t_cached(
         return AcqResult::empty(stats);
     }
     let root_k = index.locate_core(q, k).expect("core(q) >= k");
-    let kcore_vertices = cache.subtree_vertices(index, root_k, k);
-    let kcore = VertexSubset::from_iter(graph.num_vertices(), kcore_vertices.iter().copied());
 
     // Level 1: each single keyword is verified inside the k-ĉore, using the
     // inverted lists (or a scan for the * variant).
@@ -143,7 +115,7 @@ pub(crate) fn inc_t_cached(
     let mut current: Vec<(KeywordSetVec, VertexSubset)> = Vec::new();
     for &kw in &s {
         let candidate = vec![kw];
-        let pool = cache.keyword_pool(graph, index, root_k, k, &candidate, use_inverted_lists);
+        let pool = keyword_pool(graph, index, root_k, &candidate, use_inverted_lists);
         if let Some(community) = verify_candidate(graph, q, query.k, &pool, &mut stats) {
             stats.qualified_sets += 1;
             current.push((candidate, community));
@@ -181,7 +153,11 @@ pub(crate) fn inc_t_cached(
         current = next;
     }
 
-    let fallback = if last_level.is_empty() { Some(kcore) } else { None };
+    let fallback = if last_level.is_empty() {
+        Some(index.subtree_vertex_subset(root_k, graph.num_vertices()))
+    } else {
+        None
+    };
     assemble(graph, last_level, fallback, stats)
 }
 

@@ -3,6 +3,7 @@
 //! verification (finding `G[S']` and `Gk[S']` with the Lemma 3 prune).
 
 use crate::query::QueryStats;
+use acq_cltree::{ClTree, NodeId};
 use acq_graph::{AttributedGraph, KeywordId, VertexId, VertexSubset};
 use acq_kcore::{may_contain_kcore, peel_to_kcore_containing};
 use std::collections::HashSet;
@@ -90,6 +91,26 @@ pub fn filter_by_keywords(
     )
 }
 
+/// The paper's **keyword-checking** (§4): the pool of vertices in the subtree
+/// rooted at `node` that carry every keyword of `keywords`, gathered by
+/// intersecting the per-node inverted lists — or, for the `*` ablations
+/// (`use_inverted_lists == false`, or an index built without lists), by
+/// streaming the subtree against the graph's keyword sets.
+pub(crate) fn keyword_pool(
+    graph: &AttributedGraph,
+    index: &ClTree,
+    node: NodeId,
+    keywords: &[KeywordId],
+    use_inverted_lists: bool,
+) -> VertexSubset {
+    if use_inverted_lists && index.has_inverted_lists() {
+        let vertices = index.vertices_with_keywords_under(node, keywords);
+        VertexSubset::from_iter(graph.num_vertices(), vertices)
+    } else {
+        filter_by_keywords(graph, index.subtree_vertex_iter(node), keywords)
+    }
+}
+
 /// Per-keyword vertex pools over a search space: `pool` `i` holds the
 /// vertices of the space carrying query keyword `i`. Built in one scan, the
 /// pools turn every candidate-pool computation — at any candidate size — into
@@ -131,23 +152,26 @@ impl KeywordPools {
         sorted.dedup();
         let n = graph.num_vertices();
         let mut pools = vec![VertexSubset::empty(n); sorted.len()];
-        let mut shares = Vec::new();
-        for v in space {
-            let wv = graph.keyword_set(v).as_slice();
-            let (mut i, mut j, mut share) = (0usize, 0usize, 0usize);
+        // Walk the space into the output first, then merge over that one
+        // contiguous array: a CL-tree subtree streams out of many scattered
+        // node blocks, and interleaving those (cold) reads with the keyword
+        // loads below cost ~100 µs per query at 100 k vertices.
+        let mut shares: Vec<(VertexId, usize)> = space.into_iter().map(|v| (v, 0)).collect();
+        for (v, share) in &mut shares {
+            let wv = graph.keyword_set(*v).as_slice();
+            let (mut i, mut j) = (0usize, 0usize);
             while i < wv.len() && j < sorted.len() {
                 match wv[i].cmp(&sorted[j]) {
                     std::cmp::Ordering::Less => i += 1,
                     std::cmp::Ordering::Greater => j += 1,
                     std::cmp::Ordering::Equal => {
-                        share += 1;
-                        pools[j].insert(v);
+                        *share += 1;
+                        pools[j].insert(*v);
                         i += 1;
                         j += 1;
                     }
                 }
             }
-            shares.push((v, share));
         }
         (Self { n, keywords: sorted, pools }, shares)
     }

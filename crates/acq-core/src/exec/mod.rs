@@ -1,30 +1,17 @@
 //! Shared execution machinery under every [`Executor`](crate::Executor): the
-//! bounded index cache and the ordered worker pool.
+//! ordered worker pool.
 //!
 //! The paper's evaluation (and any production deployment) runs *thousands* of
-//! queries against one graph + CL-tree index. [`Engine`](crate::Engine)
-//! factors the shared work out of the per-query path with the two pieces
-//! that live here:
+//! queries against one graph + CL-tree index. The index **is** the shared,
+//! precomputed structure — core-locating and keyword-checking are its two
+//! primitives and every query calls them directly — so the only machinery an
+//! [`Engine`](crate::Engine) adds on top is fanning a batch out over a worker
+//! pool ([`pool::map_ordered`]), with results returned **in input order**
+//! regardless of scheduling.
 //!
-//! * pure index lookups — core extraction and candidate-subtree
-//!   (keyword-checking) results — are memoised in a bounded LRU
-//!   [`IndexCache`] keyed by `(node, k, keyword-set)`, one per published
-//!   generation;
-//! * a batch fans out over a worker pool ([`pool::map_ordered`]), with
-//!   results returned **in input order** regardless of scheduling.
-//!
-//! Caching and threading are invisible to results: a cached, pooled engine
-//! returns byte-identical [`AcqResult`](crate::AcqResult)s to a sequential
-//! cache-less one (`tests/property_equivalence.rs` proves it for every
-//! algorithm, thread count and a cache small enough to keep evicting).
+//! Threading is invisible to results: a pooled engine returns byte-identical
+//! [`AcqResult`](crate::AcqResult)s to the sequential free functions
+//! (`tests/property_equivalence.rs` proves it for every algorithm and thread
+//! count).
 
-mod cache;
-mod lru;
 pub mod pool;
-
-pub use cache::{CacheKey, CacheKind, CacheStats, IndexCache};
-pub use lru::LruCache;
-
-/// Default LRU bound for the per-generation index cache (entries, not bytes;
-/// each entry is one `Arc`'d vertex list or pool).
-pub const DEFAULT_CACHE_CAPACITY: usize = 1024;

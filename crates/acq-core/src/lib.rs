@@ -45,15 +45,16 @@ mod serving;
 pub mod shard;
 pub mod variants;
 
+pub use acq_metrics::serving::{ShardStatus, UpdateReport, UpdateStrategy};
 pub use algorithms::basic::{basic_g, basic_w};
 pub use algorithms::dec::{dec, dec_with_miner};
 pub use algorithms::incremental::{inc_s, inc_t};
 pub use engine::AcqAlgorithm;
-pub use owned::{Engine, EngineBuilder, UpdateReport, UpdateStrategy, DEFAULT_REBUILD_THRESHOLD};
+pub use owned::{Engine, EngineBuilder, DEFAULT_REBUILD_THRESHOLD};
 pub use query::{AcqQuery, AcqResult, AttributedCommunity, QueryError, QueryStats};
 pub use request::{ExecutionMeta, Executor, QuerySpec, Request, Response};
 pub use serving::{ServingEngine, WriteError, WriteToken};
-pub use shard::{ShardStatus, ShardedEngine, ShardedEngineBuilder};
+pub use shard::{ShardedEngine, ShardedEngineBuilder};
 pub use variants::{
     basic_g_v1, basic_g_v2, basic_w_v1, basic_w_v2, sw, swt, Variant1Query, Variant2Query,
 };

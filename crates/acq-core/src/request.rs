@@ -30,14 +30,12 @@
 //! one place ([`Request::validate`]) and is shared by every implementation.
 
 use crate::algorithms::basic::{basic_g, basic_w};
-use crate::algorithms::dec::dec_cached;
-use crate::algorithms::incremental::{inc_s_cached, inc_t_cached};
+use crate::algorithms::dec::dec;
+use crate::algorithms::incremental::{inc_s, inc_t};
 use crate::engine::AcqAlgorithm;
-use crate::exec::IndexCache;
 use crate::query::{AcqQuery, AcqResult, AttributedCommunity, QueryError};
-use crate::variants::{sw_cached, swt_cached, Variant1Query, Variant2Query};
+use crate::variants::{sw, swt, Variant1Query, Variant2Query};
 use acq_cltree::ClTree;
-use acq_fpm::MiningAlgorithm;
 use acq_graph::{AttributedGraph, KeywordId, VertexId};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -199,15 +197,14 @@ pub struct ExecutionMeta {
     /// The index generation the query ran against (see
     /// [`Engine::swap_index`](crate::Engine::swap_index)).
     pub generation: u64,
-    /// Index-cache lookups answered from the cache while this request ran.
-    /// Best-effort under concurrency: parallel requests sharing a cache may
-    /// attribute each other's lookups.
+    /// Wire-v1 field: reserved, always 0, removed with the protocol-version
+    /// bump.
     pub cache_hits: u64,
-    /// Index-cache lookups that had to compute their result (same caveat).
+    /// Wire-v1 field: reserved, always 0, removed with the protocol-version
+    /// bump.
     pub cache_misses: u64,
-    /// Entries the generation this query ran on inherited from its
-    /// predecessor's cache at swap time (the live-update carry-over; 0 for
-    /// generations that started cold).
+    /// Wire-v1 field: reserved, always 0, removed with the protocol-version
+    /// bump.
     pub cache_carried: u64,
     /// Wall-clock execution time in microseconds.
     pub wall_time_us: u64,
@@ -258,17 +255,15 @@ pub trait Executor: Send + Sync {
 }
 
 /// The one dispatch point every executor funnels through: validate, run the
-/// spec's algorithm against the given index + cache, and wrap the result
-/// with execution metadata.
+/// spec's algorithm against the given index, and wrap the result with
+/// execution metadata.
 pub(crate) fn execute_on(
     graph: &AttributedGraph,
     index: &ClTree,
-    cache: &IndexCache,
     generation: u64,
     request: &Request,
 ) -> Result<Response, QueryError> {
     request.validate(graph)?;
-    let before = cache.stats();
     let start = Instant::now();
     let (algorithm, result) = match &request.spec {
         QuerySpec::Community { keywords } => {
@@ -277,20 +272,18 @@ pub(crate) fn execute_on(
             let result = match request.algorithm {
                 AcqAlgorithm::BasicG => basic_g(graph, &query),
                 AcqAlgorithm::BasicW => basic_w(graph, &query),
-                AcqAlgorithm::IncS => inc_s_cached(graph, index, &query, true, cache),
-                AcqAlgorithm::IncSStar => inc_s_cached(graph, index, &query, false, cache),
-                AcqAlgorithm::IncT => inc_t_cached(graph, index, &query, true, cache),
-                AcqAlgorithm::IncTStar => inc_t_cached(graph, index, &query, false, cache),
-                AcqAlgorithm::Dec => {
-                    dec_cached(graph, index, &query, MiningAlgorithm::FpGrowth, cache)
-                }
+                AcqAlgorithm::IncS => inc_s(graph, index, &query, true),
+                AcqAlgorithm::IncSStar => inc_s(graph, index, &query, false),
+                AcqAlgorithm::IncT => inc_t(graph, index, &query, true),
+                AcqAlgorithm::IncTStar => inc_t(graph, index, &query, false),
+                AcqAlgorithm::Dec => dec(graph, index, &query),
             };
             (request.algorithm.name(), result)
         }
         QuerySpec::ExactKeywords { keywords } => {
             let query =
                 Variant1Query { vertex: request.vertex, k: request.k, keywords: keywords.clone() };
-            ("SW", sw_cached(graph, index, &query, cache))
+            ("SW", sw(graph, index, &query))
         }
         QuerySpec::Threshold { keywords, theta } => {
             let query = Variant2Query {
@@ -299,19 +292,18 @@ pub(crate) fn execute_on(
                 keywords: keywords.clone(),
                 theta: *theta,
             };
-            ("SWT", swt_cached(graph, index, &query, cache))
+            ("SWT", swt(graph, index, &query))
         }
     };
     let wall_time_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    let after = cache.stats();
     Ok(Response {
         result,
         meta: ExecutionMeta {
             algorithm: algorithm.to_string(),
             generation,
-            cache_hits: after.hits.saturating_sub(before.hits),
-            cache_misses: after.misses.saturating_sub(before.misses),
-            cache_carried: after.carried,
+            cache_hits: 0,
+            cache_misses: 0,
+            cache_carried: 0,
             wall_time_us,
         },
     })

@@ -12,12 +12,10 @@
 //! [`ServingEngine::write`], and the optional capabilities (shards, a delta
 //! log) surface as default-empty observers.
 
-use crate::exec::CacheStats;
-use crate::owned::{Engine, UpdateReport};
+use crate::owned::Engine;
 use crate::request::Executor;
-use crate::shard::ShardStatus;
 use acq_graph::{AttributedGraph, GraphDelta, GraphError};
-use acq_metrics::serving::DurabilityCounters;
+use acq_metrics::serving::{DurabilityCounters, ShardStatus, UpdateReport};
 use acq_sync::sync::Arc;
 use serde::{Deserialize, Serialize};
 use std::io;
@@ -84,10 +82,7 @@ pub trait ServingEngine: Executor {
     /// The currently published (logical) generation number.
     fn generation(&self) -> u64;
 
-    /// Aggregated index-cache counters across the whole engine.
-    fn cache_stats(&self) -> CacheStats;
-
-    /// Per-shard counters, in shard order; empty for unsharded engines.
+    /// Per-shard status, in shard order; empty for unsharded engines.
     fn shard_status(&self) -> Vec<ShardStatus> {
         Vec::new()
     }
@@ -120,9 +115,5 @@ impl ServingEngine for Engine {
 
     fn generation(&self) -> u64 {
         Engine::generation(self)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        Engine::cache_stats(self)
     }
 }

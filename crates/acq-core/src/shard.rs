@@ -8,8 +8,8 @@
 //! **byte-identical** to single-engine execution (enforced by
 //! `tests/property_sharding.rs`). A [`ShardedEngine`] packs the components
 //! into `num_shards` balanced buckets ([`GraphPartition::by_components`]),
-//! builds one full [`Engine`] per bucket — own generation handle, own
-//! segmented index cache, own batch worker pool — and:
+//! builds one full [`Engine`] per bucket — own generation handle, own batch
+//! worker pool — and:
 //!
 //! * **scatters** a query batch by routing each [`Request`] to the shard
 //!   owning its vertex (ids remapped global→local through the partition's
@@ -53,29 +53,14 @@
 //! single-engine racing query has, relaxed to per-shard granularity.
 //! Sequential callers always observe consistent stamps.
 
-use crate::exec::{CacheStats, DEFAULT_CACHE_CAPACITY};
-use crate::owned::{Engine, UpdateReport, UpdateStrategy, DEFAULT_REBUILD_THRESHOLD};
+use crate::owned::{Engine, DEFAULT_REBUILD_THRESHOLD};
 use crate::query::QueryError;
 use crate::request::{Executor, Request, Response};
 use crate::serving::{ServingEngine, WriteError, WriteToken};
 use acq_graph::{AttributedGraph, GraphDelta, GraphError, GraphPartition, VertexId};
+use acq_metrics::serving::{ShardStatus, UpdateReport, UpdateStrategy};
 use acq_sync::sync::{Arc, Mutex, RwLock};
 use acq_sync::thread;
-
-/// A point-in-time description of one shard, for metrics snapshots.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardStatus {
-    /// The shard index.
-    pub shard: usize,
-    /// Vertices owned by the shard.
-    pub vertices: usize,
-    /// The shard engine's own generation number (bumped only by updates that
-    /// touched this shard; distinct from the sharded engine's logical
-    /// generation).
-    pub generation: u64,
-    /// The shard engine's index-cache counters.
-    pub cache: CacheStats,
-}
 
 /// Everything a query routes through, published atomically: the full-graph
 /// mirror (validation + update staging), the component partition (routing
@@ -95,7 +80,6 @@ struct ShardState {
 pub struct ShardedEngineBuilder {
     graph: Arc<AttributedGraph>,
     num_shards: usize,
-    cache_capacity: usize,
     threads: usize,
     rebuild_threshold: f64,
 }
@@ -107,15 +91,6 @@ impl ShardedEngineBuilder {
     #[must_use]
     pub fn num_shards(mut self, num_shards: usize) -> Self {
         self.num_shards = num_shards;
-        self
-    }
-
-    /// Bounds **each shard's** index cache to `capacity` entries (0 disables
-    /// caching). Defaults to [`DEFAULT_CACHE_CAPACITY`]; total cache memory
-    /// scales with the shard count.
-    #[must_use]
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
         self
     }
 
@@ -139,7 +114,7 @@ impl ShardedEngineBuilder {
     }
 
     /// Builds the sharded engine: partitions the graph by components and
-    /// constructs one engine (graph, CL-tree, cache) per shard.
+    /// constructs one engine (graph, CL-tree) per shard.
     pub fn build(self) -> ShardedEngine {
         let num_shards = if self.num_shards == 0 {
             thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -147,13 +122,8 @@ impl ShardedEngineBuilder {
             self.num_shards
         };
         let partition = GraphPartition::by_components(&self.graph, num_shards);
-        let engines = build_shard_engines(
-            &self.graph,
-            &partition,
-            self.cache_capacity,
-            self.threads,
-            self.rebuild_threshold,
-        );
+        let engines =
+            build_shard_engines(&self.graph, &partition, self.threads, self.rebuild_threshold);
         ShardedEngine {
             state: RwLock::new(Arc::new(ShardState {
                 mirror: self.graph,
@@ -162,7 +132,6 @@ impl ShardedEngineBuilder {
                 generation: 1,
             })),
             update_lock: Mutex::new(()),
-            cache_capacity: self.cache_capacity,
             threads: self.threads,
             rebuild_threshold: self.rebuild_threshold,
         }
@@ -173,7 +142,6 @@ impl ShardedEngineBuilder {
 fn build_shard_engines(
     mirror: &Arc<AttributedGraph>,
     partition: &GraphPartition,
-    cache_capacity: usize,
     threads: usize,
     rebuild_threshold: f64,
 ) -> Vec<Arc<Engine>> {
@@ -182,7 +150,6 @@ fn build_shard_engines(
             let subgraph = Arc::new(partition.extract_shard(mirror, shard));
             Arc::new(
                 Engine::builder(subgraph)
-                    .cache_capacity(cache_capacity)
                     .threads(threads)
                     .rebuild_threshold(rebuild_threshold)
                     .build(),
@@ -213,7 +180,6 @@ pub struct ShardedEngine {
     /// Serialises writers so concurrent updates cannot stage against the
     /// same mirror and silently lose each other's deltas.
     update_lock: Mutex<()>,
-    cache_capacity: usize,
     threads: usize,
     rebuild_threshold: f64,
 }
@@ -224,7 +190,6 @@ impl ShardedEngine {
         ShardedEngineBuilder {
             graph,
             num_shards: 0,
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
             threads: 1,
             rebuild_threshold: DEFAULT_REBUILD_THRESHOLD,
         }
@@ -255,22 +220,7 @@ impl ShardedEngine {
         self.state().generation
     }
 
-    /// Index-cache counters summed across every shard engine.
-    pub fn cache_stats(&self) -> CacheStats {
-        let state = self.state();
-        let mut total = CacheStats::default();
-        for engine in &state.engines {
-            let stats = engine.cache_stats();
-            total.hits += stats.hits;
-            total.misses += stats.misses;
-            total.evictions += stats.evictions;
-            total.carried += stats.carried;
-            total.dropped += stats.dropped;
-        }
-        total
-    }
-
-    /// Per-shard size, generation and cache counters, in shard order.
+    /// Per-shard size and generation, in shard order.
     pub fn shard_status(&self) -> Vec<ShardStatus> {
         let state = self.state();
         state
@@ -281,7 +231,6 @@ impl ShardedEngine {
                 shard,
                 vertices: state.partition.shard_len(shard),
                 generation: engine.generation(),
-                cache: engine.cache_stats(),
             })
             .collect()
     }
@@ -376,15 +325,8 @@ impl ShardedEngine {
             // engine from its new induced subgraph, published as one atomic
             // state swap (in-flight queries finish on the old engines).
             let partition = GraphPartition::by_components(&mirror, num_shards);
-            let cache_dropped: u64 =
-                state.engines.iter().map(|engine| engine.cache_len() as u64).sum();
-            let engines = build_shard_engines(
-                &mirror,
-                &partition,
-                self.cache_capacity,
-                self.threads,
-                self.rebuild_threshold,
-            );
+            let engines =
+                build_shard_engines(&mirror, &partition, self.threads, self.rebuild_threshold);
             let generation = state.generation + 1;
             self.publish(ShardState { mirror, partition, engines, generation });
             return Ok(UpdateReport {
@@ -394,7 +336,7 @@ impl ShardedEngine {
                 subcore_touched: 0,
                 touched_fraction: 0.0,
                 cache_carried: 0,
-                cache_dropped,
+                cache_dropped: 0,
             });
         }
 
@@ -408,7 +350,6 @@ impl ShardedEngine {
 
         let mut strategy = UpdateStrategy::IncrementalStableSkeleton;
         let mut subcore_touched = 0usize;
-        let (mut cache_carried, mut cache_dropped) = (0u64, 0u64);
         for (shard, local_deltas) in routed.into_iter().enumerate() {
             if local_deltas.is_empty() && terms.is_empty() {
                 continue;
@@ -420,8 +361,6 @@ impl ShardedEngine {
                 strategy = report.strategy;
             }
             subcore_touched += report.subcore_touched;
-            cache_carried += report.cache_carried;
-            cache_dropped += report.cache_dropped;
         }
         Ok(UpdateReport {
             generation,
@@ -429,8 +368,8 @@ impl ShardedEngine {
             strategy,
             subcore_touched,
             touched_fraction: subcore_touched as f64 / pre_n.max(1) as f64,
-            cache_carried,
-            cache_dropped,
+            cache_carried: 0,
+            cache_dropped: 0,
         })
     }
 
@@ -603,10 +542,6 @@ impl ServingEngine for ShardedEngine {
 
     fn generation(&self) -> u64 {
         ShardedEngine::generation(self)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        ShardedEngine::cache_stats(self)
     }
 
     fn shard_status(&self) -> Vec<ShardStatus> {

@@ -10,7 +10,7 @@
 //!   `θ ∈ [0, 1]`. Algorithms: `basic-g-v2`, `basic-w-v2` and the index-based
 //!   `SWT`.
 
-use crate::common::{filter_by_keywords, verify_candidate};
+use crate::common::{filter_by_keywords, keyword_pool, verify_candidate};
 use crate::query::{AcqResult, AttributedCommunity, QueryStats};
 use acq_cltree::ClTree;
 use acq_graph::{AttributedGraph, KeywordId, VertexId, VertexSubset};
@@ -101,24 +101,12 @@ pub fn basic_w_v1(graph: &AttributedGraph, query: &Variant1Query) -> AcqResult {
 /// `SW` (Algorithm 12): locate the k-ĉore through the CL-tree, collect the
 /// vertices containing `S` by intersecting inverted lists, then peel.
 pub fn sw(graph: &AttributedGraph, index: &ClTree, query: &Variant1Query) -> AcqResult {
-    sw_cached(graph, index, query, &crate::exec::IndexCache::disabled())
-}
-
-/// `SW` against a shared [`crate::exec::IndexCache`] (the batch-engine entry
-/// point); byte-identical to [`sw`], the keyword pool is served from the
-/// cache.
-pub(crate) fn sw_cached(
-    graph: &AttributedGraph,
-    index: &ClTree,
-    query: &Variant1Query,
-    cache: &crate::exec::IndexCache,
-) -> AcqResult {
     let mut stats = QueryStats::default();
     let s = sorted(&query.keywords);
     let Some(node) = index.locate_core(query.vertex, query.k as u32) else {
         return AcqResult::empty(stats);
     };
-    let pool = cache.keyword_pool(graph, index, node, query.k as u32, &s, true);
+    let pool = keyword_pool(graph, index, node, &s, true);
     let community = verify_candidate(graph, query.vertex, query.k, &pool, &mut stats);
     single_community(s, community, stats)
 }
@@ -168,18 +156,6 @@ pub fn basic_w_v2(graph: &AttributedGraph, query: &Variant2Query) -> AcqResult {
 
 /// `SWT` (search by keywords with threshold): the index-based Variant 2 solver.
 pub fn swt(graph: &AttributedGraph, index: &ClTree, query: &Variant2Query) -> AcqResult {
-    swt_cached(graph, index, query, &crate::exec::IndexCache::disabled())
-}
-
-/// `SWT` against a shared [`crate::exec::IndexCache`] (the batch-engine entry
-/// point); byte-identical to [`swt`], core extraction is served from the
-/// cache (the θ-dependent filter itself is too query-specific to cache).
-pub(crate) fn swt_cached(
-    graph: &AttributedGraph,
-    index: &ClTree,
-    query: &Variant2Query,
-    cache: &crate::exec::IndexCache,
-) -> AcqResult {
     let mut stats = QueryStats::default();
     let s = sorted(&query.keywords);
     let required = query.required_matches();
@@ -188,11 +164,7 @@ pub(crate) fn swt_cached(
     };
     let pool = VertexSubset::from_iter(
         graph.num_vertices(),
-        cache
-            .subtree_vertices(index, node, query.k as u32)
-            .iter()
-            .copied()
-            .filter(|&v| matches_threshold(graph, v, &s, required)),
+        index.subtree_vertex_iter(node).filter(|&v| matches_threshold(graph, v, &s, required)),
     );
     let community = verify_candidate(graph, query.vertex, query.k, &pool, &mut stats);
     single_community(Vec::new(), community, stats)

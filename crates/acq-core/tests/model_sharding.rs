@@ -46,9 +46,7 @@ fn two_triangles() -> (Arc<AttributedGraph>, KeywordId, KeywordId) {
 fn gathered_answers_keep_input_order_under_concurrent_updates() {
     model(|| {
         let (graph, x, y) = two_triangles();
-        let engine = Arc::new(
-            ShardedEngine::builder(Arc::clone(&graph)).num_shards(2).cache_capacity(0).build(),
-        );
+        let engine = Arc::new(ShardedEngine::builder(Arc::clone(&graph)).num_shards(2).build());
         let requests = vec![
             Request::community(VertexId(0)).k(2).exact_keywords([x]),
             Request::community(VertexId(3)).k(2).exact_keywords([y]),
@@ -101,9 +99,7 @@ fn gathered_answers_keep_input_order_under_concurrent_updates() {
 fn concurrent_repartition_yields_old_or_new_answers() {
     model(|| {
         let (graph, x, _y) = two_triangles();
-        let engine = Arc::new(
-            ShardedEngine::builder(Arc::clone(&graph)).num_shards(2).cache_capacity(0).build(),
-        );
+        let engine = Arc::new(ShardedEngine::builder(Arc::clone(&graph)).num_shards(2).build());
 
         let writer = {
             let engine = Arc::clone(&engine);

@@ -10,8 +10,8 @@
 use crate::log::{DeltaLog, RecoveredLog};
 use crate::storage::{FsStorage, Storage};
 use acq_core::{
-    exec::CacheStats, Engine, Executor, QueryError, Request, Response, ServingEngine, ShardStatus,
-    UpdateReport, WriteError, WriteToken,
+    Engine, Executor, QueryError, Request, Response, ServingEngine, ShardStatus, UpdateReport,
+    WriteError, WriteToken,
 };
 use acq_graph::{AttributedGraph, GraphDelta};
 use acq_metrics::serving::DurabilityCounters;
@@ -290,10 +290,6 @@ impl ServingEngine for DurableEngine {
 
     fn generation(&self) -> u64 {
         self.engine.generation()
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.engine.cache_stats()
     }
 
     fn shard_status(&self) -> Vec<ShardStatus> {

@@ -1,4 +1,4 @@
-//! Model check for the durable engine's wedge protocol (invariant (e) of
+//! Model check for the durable engine's wedge protocol (invariant (d) of
 //! `docs/CONCURRENCY.md`): a log that panicked mid-write never acknowledges
 //! another write.
 //!
@@ -71,7 +71,7 @@ fn a_wedged_log_never_acks_another_write() {
         let graph = Arc::new(unlabeled_graph(3, &[(0, 1)]));
         let options = DurableOptions { compact_every: 0 };
         let (durable, _report) = DurableEngine::open_with(Box::new(storage), graph, options, |g| {
-            Arc::new(Engine::builder(g).cache_capacity(0).threads(1).build())
+            Arc::new(Engine::builder(g).threads(1).build())
         })
         .expect("open durable engine");
         let durable = Arc::new(durable);

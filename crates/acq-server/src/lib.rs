@@ -19,8 +19,8 @@
 //!   `docs/DURABILITY.md`).
 //! * [`Client`] — a minimal blocking client speaking the same frames.
 //! * The `Metrics` frame — exports the server's counters together with the
-//!   engine's [`CacheStats`](acq_core::exec::CacheStats) and last
-//!   [`UpdateReport`](acq_core::UpdateReport) as a
+//!   engine's generation and last [`UpdateReport`](acq_core::UpdateReport)
+//!   as a
 //!   [`MetricsSnapshot`](acq_metrics::serving::MetricsSnapshot), which also
 //!   renders as a plain-text `acq_* value` dump.
 //!

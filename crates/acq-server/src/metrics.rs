@@ -6,9 +6,7 @@
 //! [`MetricsSnapshot`](acq_metrics::serving::MetricsSnapshot) wire shapes
 //! defined in `acq-metrics`.
 
-use acq_core::exec::CacheStats;
-use acq_core::{ShardStatus, UpdateReport, UpdateStrategy};
-use acq_metrics::serving::{CacheCounters, ServerCounters, ShardCounters, UpdateCounters};
+use acq_metrics::serving::ServerCounters;
 use acq_sync::sync::atomic::{AtomicU64, Ordering};
 
 /// The server's cumulative counters. All methods are callable from any
@@ -95,50 +93,6 @@ impl ServerMetrics {
     }
 }
 
-/// Mirrors the engine's [`CacheStats`] into the dependency-light wire shape.
-pub(crate) fn cache_counters(stats: CacheStats) -> CacheCounters {
-    CacheCounters {
-        hits: stats.hits,
-        misses: stats.misses,
-        evictions: stats.evictions,
-        carried: stats.carried,
-        dropped: stats.dropped,
-    }
-}
-
-/// Mirrors the per-shard [`ShardStatus`] list into the wire shape; empty on
-/// an unsharded engine, so volatile single-engine servers emit no shard
-/// lines.
-pub(crate) fn shard_counters(status: &[ShardStatus]) -> Vec<ShardCounters> {
-    status
-        .iter()
-        .map(|s| ShardCounters {
-            shard: s.shard as u64,
-            vertices: s.vertices as u64,
-            generation: s.generation,
-            cache: cache_counters(s.cache),
-        })
-        .collect()
-}
-
-/// Mirrors an [`UpdateReport`] into the wire shape (strategy as its name).
-pub(crate) fn update_counters(report: &UpdateReport) -> UpdateCounters {
-    UpdateCounters {
-        generation: report.generation,
-        deltas_applied: report.deltas_applied as u64,
-        strategy: match report.strategy {
-            UpdateStrategy::IncrementalStableSkeleton => "IncrementalStableSkeleton",
-            UpdateStrategy::IncrementalRebuiltSkeleton => "IncrementalRebuiltSkeleton",
-            UpdateStrategy::FullRebuild => "FullRebuild",
-        }
-        .to_string(),
-        subcore_touched: report.subcore_touched as u64,
-        touched_fraction: report.touched_fraction,
-        cache_carried: report.cache_carried,
-        cache_dropped: report.cache_dropped,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,21 +109,5 @@ mod tests {
         assert_eq!(s.deltas_applied, 3);
         assert_eq!(s.batches_executed, 2);
         assert_eq!(s.max_batch, 5);
-    }
-
-    #[test]
-    fn update_counters_carry_the_strategy_name() {
-        let report = UpdateReport {
-            generation: 4,
-            deltas_applied: 2,
-            strategy: UpdateStrategy::FullRebuild,
-            subcore_touched: 11,
-            touched_fraction: 0.5,
-            cache_carried: 0,
-            cache_dropped: 7,
-        };
-        let u = update_counters(&report);
-        assert_eq!(u.strategy, "FullRebuild");
-        assert_eq!(u.cache_dropped, 7);
     }
 }

@@ -22,8 +22,8 @@ use crate::frame::{
     codes, error_payload, read_frame, retry_error_frame, write_frame, Frame, FrameError, FrameKind,
     QueryEnvelope, UpdateEnvelope, DEFAULT_MAX_FRAME_LEN,
 };
-use crate::metrics::{cache_counters, shard_counters, ServerMetrics};
-use crate::transactor::{last_update_counters, ReplySink, Transactor, WriteJob};
+use crate::metrics::ServerMetrics;
+use crate::transactor::{ReplySink, Transactor, WriteJob};
 use acq_core::{Request, ServingEngine, UpdateReport, WriteToken};
 use acq_durable::DurableEngine;
 use acq_graph::GraphDelta;
@@ -672,16 +672,15 @@ fn worker_loop(
 }
 
 /// The `Metrics` frame body: server counters, the transactor's last update,
-/// and whatever the engine stack reports about itself (cache, generation,
+/// and whatever the engine stack reports about itself (generation,
 /// durability counters under a durable layer, shards under a sharded one).
 fn snapshot(shared: &Shared) -> MetricsSnapshot {
     MetricsSnapshot {
         server: shared.metrics.snapshot(),
-        cache: cache_counters(shared.engine.cache_stats()),
         generation: shared.engine.generation(),
-        last_update: last_update_counters(&shared.last_update),
+        last_update: shared.last_update.lock().unwrap_or_else(PoisonError::into_inner).clone(),
         durability: shared.engine.durability(),
-        shards: shard_counters(&shared.engine.shard_status()),
+        shards: shared.engine.shard_status(),
     }
 }
 

@@ -23,7 +23,7 @@
 
 use crate::frame::FrameKind;
 use crate::frame::{codes, error_frame, Frame};
-use crate::metrics::{update_counters, ServerMetrics};
+use crate::metrics::ServerMetrics;
 use acq_core::{ServingEngine, UpdateReport, WriteError, WriteToken};
 use acq_durable::DedupWindow;
 use acq_graph::GraphDelta;
@@ -110,8 +110,9 @@ impl Transactor {
         self.tx.as_ref().expect("transactor already shut down").clone() // lint: allow(expect: tx is Some until shutdown)
     }
 
-    /// The most recent successfully applied update, for metrics snapshots.
-    pub fn last_update(&self) -> Arc<Mutex<Option<UpdateReport>>> {
+    /// The most recent successfully applied update — the cell the server's
+    /// `Metrics` snapshot clones its `last_update` out of.
+    pub(crate) fn last_update(&self) -> Arc<Mutex<Option<UpdateReport>>> {
         Arc::clone(&self.last)
     }
 
@@ -198,11 +199,4 @@ pub(crate) fn release_pending_write(metrics: &ServerMetrics) {
             Err(observed) => current = observed,
         }
     }
-}
-
-/// Snapshot helper: the last update in wire-counter form.
-pub(crate) fn last_update_counters(
-    last: &Mutex<Option<UpdateReport>>,
-) -> Option<acq_metrics::serving::UpdateCounters> {
-    last.lock().unwrap_or_else(PoisonError::into_inner).as_ref().map(update_counters)
 }

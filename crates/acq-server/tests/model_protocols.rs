@@ -1,5 +1,5 @@
 //! Model checks for the server's write-drain, admission, and write-dedup
-//! protocols (invariants (c) and (d) of `docs/CONCURRENCY.md`).
+//! protocols (invariants (b) and (c) of `docs/CONCURRENCY.md`).
 //!
 //! The transactor is exercised through the [`ReplySink`] seam with a
 //! recording mock instead of a socket writer, so the drain protocol is
@@ -45,7 +45,7 @@ impl ReplySink for FrameSink {
     }
 }
 
-/// Invariant (c): transactor shutdown drains every queued write exactly
+/// Invariant (b): transactor shutdown drains every queued write exactly
 /// once. Two submitters race each other and the shutdown path; whatever the
 /// interleaving, every submitted request id must be answered exactly once —
 /// no write dropped on the floor at shutdown, none applied or acknowledged
@@ -54,7 +54,7 @@ impl ReplySink for FrameSink {
 fn shutdown_drains_every_queued_write_exactly_once() {
     model(|| {
         let graph = Arc::new(unlabeled_graph(2, &[(0, 1)]));
-        let engine = Arc::new(Engine::builder(graph).cache_capacity(0).threads(1).build());
+        let engine = Arc::new(Engine::builder(graph).threads(1).build());
         let metrics = Arc::new(ServerMetrics::default());
         let mut transactor = Transactor::spawn(engine, metrics, 0).expect("spawn transactor");
         let sink = Arc::new(RecordingSink::default());
@@ -109,7 +109,7 @@ fn shutdown_drains_every_queued_write_exactly_once() {
 fn concurrent_resubmits_of_one_token_apply_once_and_answer_identically() {
     model(|| {
         let graph = Arc::new(unlabeled_graph(2, &[(0, 1)]));
-        let engine = Arc::new(Engine::builder(graph).cache_capacity(0).threads(1).build());
+        let engine = Arc::new(Engine::builder(graph).threads(1).build());
         let metrics = Arc::new(ServerMetrics::default());
         let mut transactor =
             Transactor::spawn(Arc::clone(&engine) as _, metrics, 8).expect("spawn transactor");
@@ -154,7 +154,7 @@ fn concurrent_resubmits_of_one_token_apply_once_and_answer_identically() {
     });
 }
 
-/// Invariant (d), part one: concurrent reservations never admit more than
+/// Invariant (c), part one: concurrent reservations never admit more than
 /// the bound, and every admitted slot returns once its reservation drops.
 #[test]
 fn admission_never_exceeds_the_bound_and_returns_every_slot() {
@@ -185,7 +185,7 @@ fn admission_never_exceeds_the_bound_and_returns_every_slot() {
     });
 }
 
-/// Invariant (d), part two: the error path does not leak. A holder that
+/// Invariant (c), part two: the error path does not leak. A holder that
 /// panics mid-batch (the worst spot — while its reservation is live) still
 /// returns its slot during unwind, in every interleaving with a concurrent
 /// reserver; afterwards the full capacity is available again.

@@ -69,12 +69,8 @@ fn sharded_server_reports_per_shard_metrics() {
 
     let snapshot = client.metrics().expect("metrics frame");
     assert_eq!(snapshot.shards.len(), 2, "one entry per shard");
-    assert_eq!(snapshot.shards.iter().map(|s| s.vertices).sum::<u64>(), 10);
-    assert_eq!(
-        snapshot.cache.hits + snapshot.cache.misses,
-        snapshot.shards.iter().map(|s| s.cache.hits + s.cache.misses).sum::<u64>(),
-        "top-level cache counters are the per-shard sum"
-    );
+    assert_eq!(snapshot.shards.iter().map(|s| s.vertices).sum::<usize>(), 10);
+    assert!(snapshot.shards.iter().all(|s| s.generation == 1), "no shard has been written to");
     let text = snapshot.render_text();
     assert!(text.contains("acq_shards 2\n"), "missing shard count line:\n{text}");
     assert!(text.contains("acq_shard_0_vertices"), "missing per-shard lines:\n{text}");

@@ -76,7 +76,7 @@ fn delta_batch(fx: &BenchFixture, size: usize, salt: u64) -> Vec<GraphDelta> {
 }
 
 /// An engine over the fixture's shared graph+index with the given rebuild
-/// threshold (cache enabled so carry-over runs too).
+/// threshold.
 fn engine(fx: &BenchFixture, threshold: f64) -> Engine {
     Engine::builder(Arc::clone(&fx.graph))
         .index(Arc::clone(&fx.index))
@@ -189,50 +189,5 @@ fn bench_single_internal_edge(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_cache_carry_over(c: &mut Criterion) {
-    // How much a warm cache buys across a skeleton-preserving update: time
-    // only the FIRST post-update workload pass, against a generation that
-    // carried its predecessor's entries vs one that started cold. All setup
-    // (engine construction, warming, the update itself) happens outside
-    // `b.iter`, so each sample's timed section is exactly one workload pass
-    // on a freshly published generation. A skeleton-preserving edge (probed
-    // via `internal_edge_delta`) guarantees the carried arm actually
-    // carries; if the fixture has none, the group is skipped.
-    let fx = bench_fixture();
-    let Some(delta) = internal_edge_delta(&fx) else {
-        eprintln!("maintenance bench: fixture has no internal edge candidate, skipping");
-        return;
-    };
-    let deltas = vec![delta];
-    let requests: Vec<Request> =
-        fx.queries.iter().map(|&q| Request::community(q).k(if quick() { 3 } else { 6 })).collect();
-
-    let mut group = c.benchmark_group("maintenance/first-queries-after-update");
-    group.sample_size(if quick() { 2 } else { 15 });
-    group.bench_function("carried-cache", |b| {
-        let e = engine(&fx, f64::INFINITY);
-        for request in &requests {
-            e.execute(request).expect("valid"); // warm — untimed
-        }
-        let report = e.apply_updates(&deltas).expect("valid"); // untimed
-        assert!(report.cache_carried > 0, "the carried arm must actually carry");
-        b.iter(|| {
-            for request in &requests {
-                std::hint::black_box(e.execute(request).expect("valid"));
-            }
-        })
-    });
-    group.bench_function("cold-cache", |b| {
-        let e = engine(&fx, f64::INFINITY);
-        e.apply_updates(&deltas).expect("valid"); // untimed; nothing to carry
-        b.iter(|| {
-            for request in &requests {
-                std::hint::black_box(e.execute(request).expect("valid"));
-            }
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_apply_updates, bench_single_internal_edge, bench_cache_carry_over);
+criterion_group!(benches, bench_apply_updates, bench_single_internal_edge);
 criterion_main!(benches);

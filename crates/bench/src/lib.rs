@@ -34,23 +34,11 @@ pub struct BenchFixture {
 }
 
 impl BenchFixture {
-    /// A cached [`Engine`] over this fixture's shared graph and index, with
-    /// `threads` batch workers (0 = one per core) and the default LRU — the
-    /// serving configuration of the executor benchmarks.
-    pub fn batch_engine(&self, threads: usize) -> Engine {
-        Engine::builder(Arc::clone(&self.graph))
-            .index(Arc::clone(&self.index))
-            .threads(threads)
-            .build()
-    }
-
     /// An owning [`Engine`] over this fixture's shared graph and index, with
-    /// `threads` batch workers (0 = one per core) and caching disabled — the
-    /// sequential-reference configuration of the executor benchmarks.
+    /// `threads` batch workers (0 = one per core).
     pub fn engine(&self, threads: usize) -> Engine {
         Engine::builder(Arc::clone(&self.graph))
             .index(Arc::clone(&self.index))
-            .cache_capacity(0)
             .threads(threads)
             .build()
     }

@@ -110,16 +110,8 @@ impl ClTree {
 
     /// The path of nodes from `v`'s owning node up to the root.
     pub fn path_to_root(&self, v: VertexId) -> Vec<NodeId> {
-        self.node_path_to_root(self.node_of(v))
-    }
-
-    /// The node ids from `node` up to the root (both inclusive) — the set of
-    /// subtrees that contain `node`. The swap-aware cache carry-over keys off
-    /// this: a keyword change at a node stales exactly the cached pools of
-    /// its ancestors-or-self.
-    pub fn node_path_to_root(&self, node: NodeId) -> Vec<NodeId> {
         let mut path = Vec::new();
-        let mut cur = Some(node);
+        let mut cur = Some(self.node_of(v));
         while let Some(n) = cur {
             path.push(n);
             cur = self.nodes[n].parent;
@@ -175,8 +167,8 @@ impl ClTree {
     ///
     /// The iterator only borrows the tree, so any number of reader threads can
     /// walk (different or identical) subtrees concurrently without allocating
-    /// intermediate vertex vectors — the navigation primitive the batch
-    /// execution layer in `acq-core` is built on.
+    /// intermediate vertex vectors — the navigation primitive the query
+    /// algorithms in `acq-core` stream from.
     pub fn subtree_vertex_iter(&self, node: NodeId) -> SubtreeVertices<'_> {
         SubtreeVertices { tree: self, stack: vec![node], current: [].iter() }
     }
@@ -191,7 +183,7 @@ impl ClTree {
     /// The subtree vertex set as a [`VertexSubset`] over a graph with
     /// `num_vertices` vertices.
     pub fn subtree_vertex_subset(&self, node: NodeId, num_vertices: usize) -> VertexSubset {
-        VertexSubset::from_iter(num_vertices, self.subtree_vertices(node))
+        VertexSubset::from_iter(num_vertices, self.subtree_vertex_iter(node))
     }
 
     /// The k-ĉore containing `q` as a vertex subset, resolved entirely through
@@ -245,8 +237,7 @@ impl ClTree {
         let mut sorted = keywords.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        self.subtree_vertices(node)
-            .into_iter()
+        self.subtree_vertex_iter(node)
             .filter(|&v| graph.keyword_set(v).contains_all(&sorted))
             .collect()
     }

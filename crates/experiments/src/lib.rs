@@ -83,24 +83,12 @@ impl Dataset {
         Dataset { name: profile.name.clone(), graph: Arc::new(graph), index: Arc::new(index) }
     }
 
-    /// A cached [`Engine`] sharing this dataset's graph and index, with the
-    /// experiment config's thread count — the executor used when an
-    /// experiment times whole batches.
-    pub fn batch_engine(&self, config: &ExperimentConfig) -> Engine {
+    /// An owning [`Engine`] sharing this dataset's graph and index, with
+    /// `threads` batch workers (0 = one per core).
+    pub fn engine(&self, threads: usize) -> Engine {
         Engine::builder(Arc::clone(&self.graph))
             .index(Arc::clone(&self.index))
-            .threads(config.threads)
-            .build()
-    }
-
-    /// An owning cache-less [`Engine`] sharing this dataset's graph and
-    /// index — the executor used when an experiment times *single* queries,
-    /// so per-query latencies are not flattered by a warm cache.
-    pub fn engine(&self) -> Engine {
-        Engine::builder(Arc::clone(&self.graph))
-            .index(Arc::clone(&self.index))
-            .cache_capacity(0)
-            .threads(1)
+            .threads(threads)
             .build()
     }
 

@@ -28,7 +28,7 @@ fn update_stream(n: usize, count: usize, seed: u64) -> Vec<(VertexId, VertexId)>
 }
 
 /// Appendix F: per-update maintenance latency, incremental vs full rebuild,
-/// plus how often the skeleton short-circuit and cache carry-over fire.
+/// plus how often the skeleton short-circuit fires.
 pub fn appf_index_maintenance(ctx: &ExperimentContext) -> Vec<ExperimentReport> {
     let updates = ctx.config.queries.max(3);
     let mut report = ExperimentReport::new(
@@ -41,7 +41,6 @@ pub fn appf_index_maintenance(ctx: &ExperimentContext) -> Vec<ExperimentReport> 
             "rebuild ms/upd",
             "speedup",
             "stable-skeleton %",
-            "cache carried",
         ],
     );
     for dataset in &ctx.datasets {
@@ -56,7 +55,6 @@ pub fn appf_index_maintenance(ctx: &ExperimentContext) -> Vec<ExperimentReport> 
             .rebuild_threshold(f64::INFINITY)
             .build();
         let mut stable = 0usize;
-        let mut carried = 0u64;
         let (_, incremental_ms) = time_ms(|| {
             for &(u, v) in &pairs {
                 let delta = if incremental.graph().has_edge(u, v) {
@@ -68,7 +66,6 @@ pub fn appf_index_maintenance(ctx: &ExperimentContext) -> Vec<ExperimentReport> 
                 if outcome.strategy == UpdateStrategy::IncrementalStableSkeleton {
                     stable += 1;
                 }
-                carried += outcome.cache_carried;
             }
         });
 
@@ -98,7 +95,6 @@ pub fn appf_index_maintenance(ctx: &ExperimentContext) -> Vec<ExperimentReport> 
             format!("{per_reb:.3}"),
             format!("{:.2}x", if per_inc > 0.0 { per_reb / per_inc } else { f64::NAN }),
             format!("{:.0}%", 100.0 * stable as f64 / updates as f64),
-            carried.to_string(),
         ]);
     }
     vec![report]

@@ -14,9 +14,9 @@ use std::sync::Arc;
 
 /// Average query time (ms) of one ACQ algorithm over a workload, measured
 /// through the batch execution path: the whole workload is submitted as one
-/// [`Request`] slice to [`Executor::execute_batch`] (sharing index,
-/// decomposition and the LRU cache across the configured worker pool) and
-/// the batch wall-clock is divided by the workload size.
+/// [`Request`] slice to [`Executor::execute_batch`] (sharing the index and
+/// its decomposition across the configured worker pool) and the batch
+/// wall-clock is divided by the workload size.
 fn average_query_ms(
     dataset: &Dataset,
     config: &ExperimentConfig,
@@ -28,7 +28,7 @@ fn average_query_ms(
     if queries.is_empty() {
         return f64::NAN;
     }
-    let engine = dataset.batch_engine(config);
+    let engine = dataset.engine(config.threads);
     let requests: Vec<Request> = queries
         .iter()
         .map(|&q| {
@@ -58,7 +58,7 @@ fn fmt(ms: f64) -> String {
 /// community-search baselines Global and Local, as `k` goes from 4 to 8.
 ///
 /// The baselines are timed as a sequential per-query loop, so the `Dec` arm
-/// runs its batch on **one** worker (still sharing the index cache) to keep
+/// runs its batch on **one** worker to keep
 /// the per-query latency comparison machine-independent and fair.
 pub fn fig14_vs_community_search(ctx: &ExperimentContext) -> Vec<ExperimentReport> {
     let sequential = ExperimentConfig { threads: 1, ..ctx.config.clone() };

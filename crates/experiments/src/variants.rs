@@ -30,7 +30,7 @@ pub fn fig17_variant1(ctx: &ExperimentContext) -> Vec<ExperimentReport> {
         if queries.is_empty() {
             continue;
         }
-        let engine = dataset.engine();
+        let engine = dataset.engine(1);
         for algorithm in ["basic-g-v1", "basic-w-v1", "SW"] {
             let mut row = vec![dataset.name.clone(), algorithm.to_string()];
             for s_size in [1usize, 3, 5, 7, 9] {
@@ -82,7 +82,7 @@ pub fn fig17_variant2(ctx: &ExperimentContext) -> Vec<ExperimentReport> {
         if queries.is_empty() {
             continue;
         }
-        let engine = dataset.engine();
+        let engine = dataset.engine(1);
         for algorithm in ["basic-g-v2", "basic-w-v2", "SWT"] {
             let mut row = vec![dataset.name.clone(), algorithm.to_string()];
             for theta in [0.2f64, 0.4, 0.6, 0.8, 1.0] {

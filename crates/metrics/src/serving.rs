@@ -3,8 +3,11 @@
 //! The quality measures in the crate root describe *communities*; this module
 //! describes the *service* returning them. [`MetricsSnapshot`] is the
 //! point-in-time shape an `acq-server` answers a `Metrics` frame with: the
-//! server's own frame/connection/admission counters, the engine's
-//! per-generation index-cache counters, and the last live-update report. It
+//! server's own frame/connection/admission counters, the published
+//! generation, the last live-update report and, where the engine stack has
+//! them, durability and per-shard counters. The engine-side shapes
+//! ([`UpdateReport`], [`UpdateStrategy`], [`ShardStatus`]) are defined here
+//! once and re-exported by `acq_core`, which fills them in. The snapshot
 //! is a plain serde-able value — no atomics, no references — so it crosses
 //! the wire as JSON unchanged and renders as a flat plain-text dump
 //! ([`MetricsSnapshot::render_text`]) for operators without a JSON tool at
@@ -59,52 +62,45 @@ pub struct ServerCounters {
     pub dedup_hits: u64,
 }
 
-/// The engine's per-generation index-cache counters, mirrored from
-/// `acq_core::exec::CacheStats` so this crate stays dependency-light.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheCounters {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to compute their result.
-    pub misses: u64,
-    /// Entries displaced by the LRU bound.
-    pub evictions: u64,
-    /// Entries carried over from the previous generation at swap time.
-    pub carried: u64,
-    /// Entries of the previous generation dropped at swap time.
-    pub dropped: u64,
+/// Which maintenance path a live update took for a delta batch.
+///
+/// Serialisable (as the variant name string) so an [`UpdateReport`] can be
+/// returned over the wire by a serving front-end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum UpdateStrategy {
+    /// Every delta went through the incremental kernels and the CL-tree
+    /// skeleton was kept verbatim (node ids stayed stable).
+    IncrementalStableSkeleton,
+    /// The incremental core maintenance ran, but a delta merged/split/moved a
+    /// ĉore, so the skeleton was rebuilt from the maintained decomposition
+    /// (skipping the from-scratch `O(m)` decomposition).
+    IncrementalRebuiltSkeleton,
+    /// The cumulative touched-subcore fraction crossed the engine's
+    /// `rebuild_threshold`: incremental maintenance stopped paying for itself
+    /// and the index was rebuilt from scratch with `build_advanced`.
+    FullRebuild,
 }
 
-impl CacheCounters {
-    /// Fraction of lookups answered from the cache (0.0 when unused).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// What the most recent live update did, mirrored from
-/// `acq_core::UpdateReport` (the strategy is carried as its name string).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct UpdateCounters {
-    /// The generation the update published.
+/// What one live update (`Engine::apply_updates` in `acq-core`) did.
+/// Serialisable — this is the wire shape an `acq-server` `Update` frame
+/// answers with, and what [`MetricsSnapshot::last_update`] reports.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct UpdateReport {
+    /// The generation number the update published.
     pub generation: u64,
-    /// Deltas that actually changed the graph.
-    pub deltas_applied: u64,
-    /// Maintenance path taken (`IncrementalStableSkeleton`,
-    /// `IncrementalRebuiltSkeleton` or `FullRebuild`).
-    pub strategy: String,
-    /// Subcore vertices the incremental kernels examined.
-    pub subcore_touched: u64,
+    /// Deltas that actually changed the graph (no-ops are skipped).
+    pub deltas_applied: usize,
+    /// The maintenance path taken.
+    pub strategy: UpdateStrategy,
+    /// Total subcore vertices the incremental kernels examined.
+    pub subcore_touched: usize,
     /// `subcore_touched` over the pre-update vertex count.
     pub touched_fraction: f64,
-    /// Cache entries carried into the new generation.
+    /// Wire-v1 field: reserved, always 0, removed with the protocol-version
+    /// bump.
     pub cache_carried: u64,
-    /// Cache entries dropped at the swap.
+    /// Wire-v1 field: reserved, always 0, removed with the protocol-version
+    /// bump.
     pub cache_dropped: u64,
 }
 
@@ -136,42 +132,35 @@ pub struct DurabilityCounters {
     pub snapshot_bytes: u64,
 }
 
-/// One shard of a sharded engine, mirrored from `acq_core::ShardStatus` so
-/// this crate stays dependency-light. Present only when the server runs a
-/// sharded engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardCounters {
+/// A point-in-time description of one shard of a sharded engine. Present
+/// only when the server runs a sharded engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ShardStatus {
     /// The shard index.
-    pub shard: u64,
+    pub shard: usize,
     /// Vertices owned by the shard.
-    pub vertices: u64,
+    pub vertices: usize,
     /// The shard engine's own generation number (bumped only by updates that
     /// touched this shard; the top-level `generation` is the logical one).
     pub generation: u64,
-    /// The shard engine's index-cache counters.
-    pub cache: CacheCounters,
 }
 
-/// Everything a `Metrics` frame reports: server counters, engine cache
-/// counters, the published generation number, the last update (if any), the
-/// durability counters (if the server is durable), and per-shard counters
-/// (if the engine is sharded).
+/// Everything a `Metrics` frame reports: server counters, the published
+/// generation number, the last update (if any), the durability counters (if
+/// the server is durable), and per-shard status (if the engine is sharded).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Frame/connection/admission counters of the server.
     pub server: ServerCounters,
-    /// Index-cache counters of the currently published generation (summed
-    /// across shards on a sharded engine).
-    pub cache: CacheCounters,
     /// The currently published graph generation number.
     pub generation: u64,
     /// The most recent transactor update, if one has been applied.
-    pub last_update: Option<UpdateCounters>,
+    pub last_update: Option<UpdateReport>,
     /// Delta-log and compaction counters; `None` on a volatile server.
     pub durability: Option<DurabilityCounters>,
-    /// Per-shard counters in shard order; empty on an unsharded engine (the
+    /// Per-shard status in shard order; empty on an unsharded engine (the
     /// text dump omits shard lines entirely in that case).
-    pub shards: Vec<ShardCounters>,
+    pub shards: Vec<ShardStatus>,
 }
 
 impl MetricsSnapshot {
@@ -198,24 +187,17 @@ impl MetricsSnapshot {
             ("acq_timeouts", s.timeouts),
             ("acq_deadline_shed", s.deadline_shed),
             ("acq_dedup_hits", s.dedup_hits),
-            ("acq_cache_hits", self.cache.hits),
-            ("acq_cache_misses", self.cache.misses),
-            ("acq_cache_evictions", self.cache.evictions),
-            ("acq_cache_carried", self.cache.carried),
-            ("acq_cache_dropped", self.cache.dropped),
             ("acq_generation", self.generation),
         ] {
             let _ = writeln!(out, "{name} {value}");
         }
-        let _ = writeln!(out, "acq_cache_hit_rate {:.4}", self.cache.hit_rate());
         if let Some(u) = &self.last_update {
             let _ = writeln!(out, "acq_last_update_generation {}", u.generation);
             let _ = writeln!(out, "acq_last_update_deltas_applied {}", u.deltas_applied);
-            let _ = writeln!(out, "acq_last_update_strategy {}", u.strategy);
+            // `Debug` of a unit variant is its name — the string serde writes.
+            let _ = writeln!(out, "acq_last_update_strategy {:?}", u.strategy);
             let _ = writeln!(out, "acq_last_update_subcore_touched {}", u.subcore_touched);
             let _ = writeln!(out, "acq_last_update_touched_fraction {:.4}", u.touched_fraction);
-            let _ = writeln!(out, "acq_last_update_cache_carried {}", u.cache_carried);
-            let _ = writeln!(out, "acq_last_update_cache_dropped {}", u.cache_dropped);
         }
         if let Some(d) = &self.durability {
             for (name, value) in [
@@ -238,9 +220,6 @@ impl MetricsSnapshot {
                 let i = sh.shard;
                 let _ = writeln!(out, "acq_shard_{i}_vertices {}", sh.vertices);
                 let _ = writeln!(out, "acq_shard_{i}_generation {}", sh.generation);
-                let _ = writeln!(out, "acq_shard_{i}_cache_hits {}", sh.cache.hits);
-                let _ = writeln!(out, "acq_shard_{i}_cache_misses {}", sh.cache.misses);
-                let _ = writeln!(out, "acq_shard_{i}_cache_evictions {}", sh.cache.evictions);
             }
         }
         out
@@ -271,16 +250,15 @@ mod tests {
                 deadline_shed: 3,
                 dedup_hits: 6,
             },
-            cache: CacheCounters { hits: 20, misses: 10, evictions: 0, carried: 4, dropped: 1 },
             generation: 5,
-            last_update: Some(UpdateCounters {
+            last_update: Some(UpdateReport {
                 generation: 5,
                 deltas_applied: 2,
-                strategy: "IncrementalStableSkeleton".to_string(),
+                strategy: UpdateStrategy::IncrementalStableSkeleton,
                 subcore_touched: 7,
                 touched_fraction: 0.07,
-                cache_carried: 4,
-                cache_dropped: 1,
+                cache_carried: 0,
+                cache_dropped: 0,
             }),
             durability: Some(DurabilityCounters {
                 log_bytes_appended: 4096,
@@ -294,30 +272,8 @@ mod tests {
                 snapshot_bytes: 2048,
             }),
             shards: vec![
-                ShardCounters {
-                    shard: 0,
-                    vertices: 7,
-                    generation: 2,
-                    cache: CacheCounters {
-                        hits: 15,
-                        misses: 6,
-                        evictions: 0,
-                        carried: 4,
-                        dropped: 1,
-                    },
-                },
-                ShardCounters {
-                    shard: 1,
-                    vertices: 3,
-                    generation: 1,
-                    cache: CacheCounters {
-                        hits: 5,
-                        misses: 4,
-                        evictions: 0,
-                        carried: 0,
-                        dropped: 0,
-                    },
-                },
+                ShardStatus { shard: 0, vertices: 7, generation: 2 },
+                ShardStatus { shard: 1, vertices: 3, generation: 1 },
             ],
         }
     }
@@ -329,7 +285,6 @@ mod tests {
         assert!(text.contains("acq_timeouts 2\n"));
         assert!(text.contains("acq_deadline_shed 3\n"));
         assert!(text.contains("acq_dedup_hits 6\n"));
-        assert!(text.contains("acq_cache_hit_rate 0.6667\n"));
         assert!(text.contains("acq_last_update_strategy IncrementalStableSkeleton\n"));
         assert!(text.contains("acq_log_bytes_appended 4096\n"));
         assert!(text.contains("acq_log_records_replayed 3\n"));
@@ -338,7 +293,6 @@ mod tests {
         assert!(text.contains("acq_shards 2\n"));
         assert!(text.contains("acq_shard_0_vertices 7\n"));
         assert!(text.contains("acq_shard_1_generation 1\n"));
-        assert!(text.contains("acq_shard_1_cache_hits 5\n"));
         // Flat `name value` lines only: every line splits into exactly two
         // whitespace-separated fields.
         for line in text.lines() {
@@ -368,10 +322,5 @@ mod tests {
             !cold.render_text().contains("acq_shard"),
             "unsharded servers must not emit shard lines"
         );
-    }
-
-    #[test]
-    fn hit_rate_handles_unused_cache() {
-        assert_eq!(CacheCounters::default().hit_rate(), 0.0);
     }
 }

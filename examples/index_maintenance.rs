@@ -2,9 +2,9 @@
 //! into a **serving** engine through [`Engine::apply_updates`], which stages
 //! the updated graph with incremental CSR/bitmap edits, maintains the CL-tree
 //! through the subcore kernels (or falls back to a full rebuild past the
-//! touched-subcore threshold), carries untouched cache entries across the
-//! generation swap, and publishes everything atomically — queries in flight
-//! finish on their snapshot, queries after the swap see the new graph.
+//! touched-subcore threshold), and publishes graph and index atomically —
+//! queries in flight finish on their snapshot, queries after the swap see
+//! the new graph.
 //!
 //! ```text
 //! cargo run --example index_maintenance
@@ -28,13 +28,13 @@ fn main() {
         engine.index().kmax()
     );
 
-    // Warm the generation cache with a few queries.
+    // The query workload the maintained engine is checked against below.
     let queries = datagen::select_query_vertices(&graph, engine.index().decomposition(), 10, 4, 3);
     let requests: Vec<Request> = queries.iter().map(|&q| Request::community(q).k(4)).collect();
     for request in &requests {
-        engine.execute(request).expect("valid request");
+        let response = engine.execute(request).expect("valid request");
+        assert_eq!(response.meta.generation, 1, "served from the initial generation");
     }
-    println!("warmed the cache: {:?}", engine.cache_stats());
 
     // --- 1. One mixed delta batch: keyword + edges + a brand-new vertex. ----
     let member = VertexId(0);
@@ -50,12 +50,11 @@ fn main() {
         report.deltas_applied, report.generation, report.strategy
     );
     println!(
-        "  subcore touched: {} vertices ({:.1}% of the graph), cache carried {} / dropped {}",
+        "  subcore touched: {} vertices ({:.1}% of the graph)",
         report.subcore_touched,
-        100.0 * report.touched_fraction,
-        report.cache_carried,
-        report.cache_dropped
+        100.0 * report.touched_fraction
     );
+    assert_eq!((report.generation, engine.generation()), (2, 2), "one batch, one publish");
 
     // The published graph contains everything, atomically.
     let live = engine.graph();
@@ -88,10 +87,11 @@ fn main() {
         }
     }
     println!(
-        "\nstreamed 8 single-edge updates: {stable} kept the skeleton (cache carried over), \
-         {rebuilt} rebuilt it; now at generation {}",
+        "\nstreamed 8 single-edge updates: {stable} kept the skeleton, {rebuilt} rebuilt it; \
+         now at generation {}",
         engine.generation()
     );
+    assert_eq!(engine.generation(), 2 + (stable + rebuilt) as u64, "one publish per update");
 
     // --- 3. Maintained state == from-scratch rebuild, query for query. -----
     let final_graph = engine.graph();
@@ -111,8 +111,7 @@ fn main() {
 
     // --- 4. The low-level handle is still there for external indexes. ------
     // `swap_index` publishes an externally built tree for the current graph
-    // (fresh cache, new generation) — the escape hatch apply_updates is
-    // built on.
+    // (new generation) — the escape hatch apply_updates is built on.
     let generation = engine.swap_index(Arc::new(build_advanced(&final_graph, true)));
     println!("swap_index published an externally built index as generation {generation}");
 }

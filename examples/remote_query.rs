@@ -4,8 +4,9 @@
 //! for a few seconds so it can be launched back-to-back with the server.
 //! Then it exercises every frame kind — ping, a single query, a batch of
 //! queries, an update through the transactor, and a metrics scrape — and
-//! **exits non-zero** if any step fails or the scraped counters are zero,
-//! which is what the CI `server-smoke` job asserts.
+//! **exits non-zero** if any step fails or the scraped `queries_served`,
+//! `updates_applied`, `batches_executed` and `generation` do not account for
+//! the session, which is what the CI `server-smoke` job asserts.
 //!
 //! ```text
 //! cargo run --example serve &
@@ -73,28 +74,20 @@ fn main() {
         .expect("revert applied");
     println!("revert: generation {}", report.generation);
 
-    // 5. Query the post-update generation twice: the first run warms the
-    //    index cache (a miss), the second hits it. The cache is
-    //    per-generation — the updates above dropped the old one — so this is
-    //    what makes the scraped CacheStats non-zero.
-    let warm = client.query(&Request::community(VertexId(0)).k(2)).expect("warming query");
-    let hit = client.query(&Request::community(VertexId(0)).k(2)).expect("cached query");
-    println!(
-        "cache warm-up: misses {} then hits {} (generation {})",
-        warm.meta.cache_misses, hit.meta.cache_hits, hit.meta.generation
-    );
-    assert!(warm.meta.cache_misses > 0, "first post-update query must miss");
-    assert!(hit.meta.cache_hits > 0, "repeated query must hit the cache");
+    // 5. A query after the writes is served from the generation the revert
+    //    published.
+    let after = client.query(&Request::community(VertexId(0)).k(2)).expect("post-update query");
+    println!("post-update query: generation {}", after.meta.generation);
+    assert_eq!(after.meta.generation, report.generation, "reads see the last published write");
 
     // 6. Scrape the counters and hold the smoke-test line: everything this
     //    session did must be visible in the metrics frame.
     let snapshot = client.metrics().expect("metrics answered");
     print!("{}", snapshot.render_text());
     let s = &snapshot.server;
-    assert!(s.queries_served >= 11, "queries_served={}", s.queries_served);
+    assert!(s.queries_served >= 10, "queries_served={}", s.queries_served);
     assert!(s.updates_applied >= 2, "updates_applied={}", s.updates_applied);
     assert!(s.batches_executed >= 1, "batches_executed={}", s.batches_executed);
-    assert!(snapshot.cache.hits + snapshot.cache.misses > 0, "the engine cache saw no traffic");
     assert!(snapshot.generation >= 3, "generation={}", snapshot.generation);
     println!("remote_query: all assertions passed");
 }

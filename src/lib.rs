@@ -54,8 +54,7 @@
 //!
 //! For many queries against one graph, hand the whole slice to
 //! [`Executor::execute_batch`](prelude::Executor::execute_batch) — the
-//! engine shares the index, its core decomposition and an LRU cache across a
-//! worker pool (see `ARCHITECTURE.md` for where this layer sits):
+//! engine shares the index and its core decomposition across a worker pool (see `ARCHITECTURE.md` for where this layer sits):
 //!
 //! ```
 //! use attributed_community_search::prelude::*;
@@ -89,7 +88,6 @@ pub use acq_unionfind as unionfind;
 /// The most commonly used items, importable with a single `use`.
 pub mod prelude {
     pub use acq_cltree::{build_advanced, build_basic, ClTree};
-    pub use acq_core::exec::CacheStats;
     pub use acq_core::{
         AcqAlgorithm, AcqQuery, AcqResult, AttributedCommunity, Engine, EngineBuilder,
         ExecutionMeta, Executor, QueryError, QuerySpec, Request, Response, ServingEngine,

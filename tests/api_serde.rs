@@ -70,3 +70,26 @@ fn a_request_decoded_from_a_wire_string_is_executable() {
     let response = engine.execute(&request).unwrap();
     assert_eq!(response.communities()[0].member_names(&graph), vec!["A", "C", "D"]);
 }
+
+#[test]
+fn query_ok_and_update_ok_payloads_match_protocol_md() {
+    // The two v1 payload examples of docs/PROTOCOL.md, byte for byte: same
+    // keys, same order, and the five reserved fields present and 0.
+    let (_, engine) = figure3();
+    let mut response = engine.execute(&Request::community(VertexId(0)).k(2)).unwrap();
+    response.meta.wall_time_us = 169;
+    assert_eq!(
+        serde_json::to_string(&response).unwrap(),
+        "{\"result\":{\"communities\":[{\"label\":[1,2],\"vertices\":[0,2,3]}],\
+         \"label_size\":2,\
+         \"stats\":{\"candidates_verified\":1,\"pruned_by_lemma3\":0,\"qualified_sets\":1}},\
+         \"meta\":{\"algorithm\":\"Dec\",\"generation\":1,\"cache_hits\":0,\"cache_misses\":0,\
+         \"cache_carried\":0,\"wall_time_us\":169}}"
+    );
+    let report = engine.apply_updates(&[GraphDelta::insert_edge(VertexId(4), VertexId(1))]);
+    assert_eq!(
+        serde_json::to_string(&report.unwrap()).unwrap(),
+        "{\"generation\":2,\"deltas_applied\":1,\"strategy\":\"IncrementalRebuiltSkeleton\",\
+         \"subcore_touched\":1,\"touched_fraction\":0.1,\"cache_carried\":0,\"cache_dropped\":0}"
+    );
+}

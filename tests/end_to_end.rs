@@ -218,19 +218,16 @@ fn graph_io_roundtrip_preserves_query_results() {
 }
 
 /// The batch path end to end: a generated dataset is queried once through a
-/// sequential cache-less `Engine` and once as a batch through a cached
-/// 4-worker `Engine` sharing its index, and the results must be identical
-/// (including the work counters), in input order. Also pins the prelude
-/// re-exports of `Engine`, `Executor` and `CacheStats`.
+/// sequential `Engine` and once as a batch through a 4-worker `Engine`
+/// sharing its index, and the results must be identical (including the work
+/// counters), in input order. Also pins the prelude re-exports of `Engine`
+/// and `Executor`.
 #[test]
 fn both_executors_agree_end_to_end() {
     let graph = Arc::new(generated_graph());
     let batch_engine = Engine::builder(Arc::clone(&graph)).threads(4).build();
-    let sequential = Engine::builder(Arc::clone(&graph))
-        .index(batch_engine.index())
-        .cache_capacity(0)
-        .threads(1)
-        .build();
+    let sequential =
+        Engine::builder(Arc::clone(&graph)).index(batch_engine.index()).threads(1).build();
 
     let index = batch_engine.index();
     let requests: Vec<Request> = graph
@@ -251,8 +248,7 @@ fn both_executors_agree_end_to_end() {
         );
     }
 
-    // Running the same batch again is answered (partly) from the cache and
-    // still returns identical communities.
+    // Running the same batch again returns identical communities.
     let again = batch_engine.execute_batch(&requests);
     for (first, second) in batched.iter().zip(&again) {
         assert_eq!(
@@ -260,6 +256,4 @@ fn both_executors_agree_end_to_end() {
             second.as_ref().map(|r| r.result.clone())
         );
     }
-    let stats: CacheStats = batch_engine.cache_stats();
-    assert!(stats.hits > 0, "repeated batch must hit the shared cache: {stats:?}");
 }

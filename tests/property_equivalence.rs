@@ -3,11 +3,11 @@
 //! around the unified `Request`/`Executor` surface:
 //!
 //! * **executor equivalence** — any request (all three spec kinds, every
-//!   algorithm) produces identical results from the sequential cache-less
-//!   `Engine` and from cached, pooled `Engine`s across thread counts and
-//!   cache capacities, cold and warm;
+//!   algorithm) produces identical results from the algorithms' free
+//!   functions and from pooled `Engine`s across thread counts, run after run;
 //! * the monotonicity properties of the problem variants.
 
+use attributed_community_search::acq::{basic_g, basic_w, dec, inc_s, inc_t, sw, swt};
 use attributed_community_search::datagen;
 use attributed_community_search::prelude::*;
 use proptest::prelude::*;
@@ -22,34 +22,57 @@ fn shared_graph() -> &'static Arc<AttributedGraph> {
     GRAPH.get_or_init(|| Arc::new(datagen::generate(&datagen::tiny())))
 }
 
-/// The sequential reference executor: one thread, caching disabled.
+/// The sequential engine the single-executor properties run on.
 fn reference_engine() -> &'static Engine {
     static ENGINE: OnceLock<Engine> = OnceLock::new();
-    ENGINE.get_or_init(|| {
-        Engine::builder(Arc::clone(shared_graph())).cache_capacity(0).threads(1).build()
-    })
+    ENGINE.get_or_init(|| Engine::builder(Arc::clone(shared_graph())).threads(1).build())
 }
 
-/// Cached, pooled engines sharing the reference index: 1, 2 and 4 workers,
-/// each with a comfortable cache (64) and one small enough (3) that the LRU
-/// keeps evicting throughout a batch.
+/// Pooled engines sharing the reference index: 1, 2 and 4 workers.
 fn batch_engines() -> &'static Vec<Engine> {
     static ENGINES: OnceLock<Vec<Engine>> = OnceLock::new();
     ENGINES.get_or_init(|| {
         let index = reference_engine().index();
-        let mut engines = Vec::new();
-        for threads in [1usize, 2, 4] {
-            for capacity in [64usize, 3] {
-                engines.push(
-                    Engine::builder(Arc::clone(shared_graph()))
-                        .index(Arc::clone(&index))
-                        .threads(threads)
-                        .cache_capacity(capacity)
-                        .build(),
-                );
+        [1usize, 2, 4]
+            .into_iter()
+            .map(|threads| {
+                Engine::builder(Arc::clone(shared_graph()))
+                    .index(Arc::clone(&index))
+                    .threads(threads)
+                    .build()
+            })
+            .collect()
+    })
+}
+
+/// The expected answer, straight from the algorithm's free function — the
+/// one entry point the engines dispatch to.
+fn free_function_answer(request: &Request) -> Result<AcqResult, QueryError> {
+    let graph = shared_graph();
+    request.validate(graph)?;
+    let index = reference_engine().index();
+    let (vertex, k) = (request.vertex, request.k);
+    Ok(match &request.spec {
+        QuerySpec::Community { keywords } => {
+            let query = AcqQuery { vertex, k, keywords: keywords.clone() };
+            match request.algorithm {
+                AcqAlgorithm::BasicG => basic_g(graph, &query),
+                AcqAlgorithm::BasicW => basic_w(graph, &query),
+                AcqAlgorithm::IncS => inc_s(graph, &index, &query, true),
+                AcqAlgorithm::IncSStar => inc_s(graph, &index, &query, false),
+                AcqAlgorithm::IncT => inc_t(graph, &index, &query, true),
+                AcqAlgorithm::IncTStar => inc_t(graph, &index, &query, false),
+                AcqAlgorithm::Dec => dec(graph, &index, &query),
             }
         }
-        engines
+        QuerySpec::ExactKeywords { keywords } => {
+            sw(graph, &index, &Variant1Query { vertex, k, keywords: keywords.clone() })
+        }
+        QuerySpec::Threshold { keywords, theta } => swt(
+            graph,
+            &index,
+            &Variant2Query { vertex, k, keywords: keywords.clone(), theta: *theta },
+        ),
     })
 }
 
@@ -85,18 +108,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Executor equivalence: for any batch of requests, every pooled engine
-    /// (1, 2 and 4 workers; roomy and evicting LRU) returns the same results
-    /// — communities, label size and work counters — as the sequential
-    /// cache-less `Engine`, on a first run and again on a second run over
-    /// whatever the first left in the cache. All three spec kinds and all
-    /// seven algorithms flow through this single property.
+    /// (1, 2 and 4 workers) returns the same results — communities, label
+    /// size and work counters — as the algorithm's free function, on a first
+    /// run and again on a second. All three spec kinds and all seven
+    /// algorithms flow through this single property.
     #[test]
     fn executors_agree_for_any_request(requests in proptest::collection::vec(arb_request(), 1..10)) {
-        let sequential = reference_engine();
-        let expected: Vec<_> = requests
-            .iter()
-            .map(|request| sequential.execute(request).map(|r| r.result))
-            .collect();
+        let expected: Vec<_> = requests.iter().map(free_function_answer).collect();
         for engine in batch_engines() {
             for run in ["first", "second"] {
                 let batched = engine.execute_batch(&requests);

@@ -104,10 +104,7 @@ fn concurrent_clients_match_the_direct_executor() {
     assert!(snapshot.server.queries_served >= 4 * requests.len() as u64);
     assert!(snapshot.server.batches_executed > 0);
     assert_eq!(snapshot.server.query_errors, 1);
-    assert!(
-        snapshot.cache.hits + snapshot.cache.misses > 0,
-        "the shared engine cache must have seen traffic"
-    );
+    assert_eq!(snapshot.generation, 1, "reads publish nothing");
     server.shutdown();
 }
 

@@ -59,7 +59,7 @@ fn build_graph(n: usize, edges: &[(u32, u32)], keywords: &[Vec<u32>]) -> Attribu
 /// vertices, degree bounds and spec kinds.
 fn assert_equivalent_to_fresh(live: &Engine) {
     let graph = live.graph();
-    let fresh = Engine::builder(Arc::clone(&graph)).cache_capacity(0).threads(1).build();
+    let fresh = Engine::builder(Arc::clone(&graph)).threads(1).build();
     let keyword = graph.dictionary().iter().next().map(|(id, _)| id);
     for v in graph.vertices().step_by(1 + graph.num_vertices() / 12) {
         for k in [1usize, 2, 3] {
@@ -155,67 +155,5 @@ proptest! {
         }
         assert_equivalent_to_fresh(&one_batch);
         assert_equivalent_to_fresh(&one_at_a_time);
-    }
-}
-
-#[test]
-fn carried_cache_entries_change_no_answers() {
-    // Deterministic end-to-end: warm the cache, apply a skeleton-preserving
-    // delta, and check the carried generation still answers byte-identically
-    // with hits flowing.
-    let graph = Arc::new(attributed_community_search::datagen::generate(
-        &attributed_community_search::datagen::tiny(),
-    ));
-    let engine = Engine::new(Arc::clone(&graph));
-    let decomposition = CoreDecomposition::compute(&graph);
-    let queries: Vec<Request> = graph
-        .vertices()
-        .filter(|&v| decomposition.core_number(v) >= 2)
-        .take(8)
-        .map(|v| Request::community(v).k(2))
-        .collect();
-    assert!(!queries.is_empty());
-    let before: Vec<AcqResult> =
-        queries.iter().map(|r| engine.execute(r).unwrap().result).collect();
-
-    // Find a vertex pair inside one ĉore whose connecting edge is absent —
-    // the insert is likely skeleton-preserving; fall back to whatever
-    // strategy the driver picks (answers must match either way).
-    let index = engine.index();
-    let (u, v) = {
-        let mut pick = None;
-        'outer: for u in graph.vertices() {
-            for v in graph.vertices() {
-                if u < v
-                    && !graph.has_edge(u, v)
-                    && decomposition.core_number(u) >= 3
-                    && decomposition.core_number(v) >= 3
-                    && index.node_of(u) == index.node_of(v)
-                {
-                    pick = Some((u, v));
-                    break 'outer;
-                }
-            }
-        }
-        pick.unwrap_or_else(|| {
-            // Fall back to any absent edge; the equivalence holds for every
-            // strategy, carry-over is just likelier on the dense pick.
-            let u = graph.vertices().find(|&u| graph.degree(u) + 1 < graph.num_vertices());
-            let u = u.expect("graph is not complete");
-            let v = graph.vertices().find(|&v| v != u && !graph.has_edge(u, v)).unwrap();
-            (u, v)
-        })
-    };
-    let report = engine.apply_updates(&[GraphDelta::insert_edge(u, v)]).unwrap();
-    assert_eq!(report.generation, 2);
-
-    let fresh = Engine::new(engine.graph());
-    for (request, old) in queries.iter().zip(&before) {
-        let live = engine.execute(request).unwrap();
-        let rebuilt = fresh.execute(request).unwrap();
-        assert_eq!(live.result, rebuilt.result, "carried cache must not change answers");
-        assert_eq!(live.meta.generation, 2);
-        assert_eq!(live.meta.cache_carried, report.cache_carried);
-        let _ = old; // answers *may* legitimately change: the graph changed.
     }
 }
