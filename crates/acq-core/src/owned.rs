@@ -69,6 +69,9 @@ pub struct Engine {
     /// and silently lose each other's deltas. Readers never take it.
     update_lock: Mutex<()>,
     threads: usize,
+    /// The host's core count, resolved once at build: asking the OS re-reads
+    /// the cgroup files, which a batch of one query would pay every time.
+    cores: usize,
     rebuild_threshold: f64,
 }
 
@@ -130,6 +133,7 @@ impl EngineBuilder {
             current: RwLock::new(Arc::new(generation)),
             update_lock: Mutex::new(()),
             threads: self.threads,
+            cores: pool::available_cores(),
             rebuild_threshold: self.rebuild_threshold,
         }
     }
@@ -350,7 +354,7 @@ impl Executor for Engine {
     /// generations (or across graphs).
     fn execute_batch(&self, requests: &[Request]) -> Vec<Result<Response, QueryError>> {
         let generation = self.snapshot();
-        let workers = pool::effective_threads(self.threads, requests.len());
+        let workers = pool::effective_threads(self.threads, self.cores, requests.len());
         pool::map_ordered(requests, workers, |_, request| {
             execute_on(&generation.graph, &generation.index, generation.number, request)
         })

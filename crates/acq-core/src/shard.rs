@@ -117,7 +117,7 @@ impl ShardedEngineBuilder {
     /// constructs one engine (graph, CL-tree) per shard.
     pub fn build(self) -> ShardedEngine {
         let num_shards = if self.num_shards == 0 {
-            thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            crate::exec::pool::available_cores()
         } else {
             self.num_shards
         };

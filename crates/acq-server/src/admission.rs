@@ -1,4 +1,5 @@
-//! Global admission control: the in-flight query gauge.
+//! Admission control: the per-connection query queue and the global
+//! in-flight query gauge.
 //!
 //! Every connection worker reserves slots here before handing a batch to
 //! `execute_batch`; the tail that does not fit is answered with a
@@ -14,6 +15,8 @@
 
 use acq_core::Request;
 use acq_sync::sync::atomic::{AtomicUsize, Ordering};
+use acq_sync::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// One decoded query waiting in a connection's queue: the request itself,
@@ -34,7 +37,10 @@ pub struct PendingQuery {
 /// Splits a drained batch into the queries still worth executing and the
 /// request ids whose deadline expired while they sat in the queue. Order is
 /// preserved on both sides.
-pub fn split_expired(batch: Vec<PendingQuery>, now: Instant) -> (Vec<PendingQuery>, Vec<u64>) {
+pub(crate) fn split_expired(
+    batch: Vec<PendingQuery>,
+    now: Instant,
+) -> (Vec<PendingQuery>, Vec<u64>) {
     let mut live = Vec::with_capacity(batch.len());
     let mut expired = Vec::new();
     for query in batch {
@@ -44,6 +50,88 @@ pub fn split_expired(batch: Vec<PendingQuery>, now: Instant) -> (Vec<PendingQuer
         }
     }
     (live, expired)
+}
+
+/// The decoded-but-not-yet-executed queries of one connection: its reader
+/// pushes, its worker takes everything queued at once and runs it as one
+/// batch.
+///
+/// A push does **not** hand anything to the worker. The reader calls
+/// [`wake`](Self::wake) before it does anything that may block — a read
+/// with no whole frame buffered, a reply on the socket — and only then does
+/// the worker take what is queued: the queries of one pipelined burst, which
+/// arrive together, are executed together (even when the worker was idle, or
+/// not yet started, as the first of them was pushed), and a queued query
+/// never waits on anything but the decoding of the frames received with it.
+/// The protocol (no lost wake-up, nothing left queued at close) is
+/// model-checked in `tests/model_protocols.rs`.
+#[derive(Debug)]
+pub struct QueryQueue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+    capacity: usize,
+}
+
+#[derive(Debug)]
+struct QueueState {
+    pending: VecDeque<PendingQuery>,
+    /// Set by `wake`, consumed by the drain it allows; implies `pending` is
+    /// not empty.
+    announced: bool,
+    closed: bool,
+}
+
+impl QueryQueue {
+    /// An open, empty queue holding at most `capacity` queries.
+    pub fn new(capacity: usize) -> Self {
+        let state = QueueState { pending: VecDeque::new(), announced: false, closed: false };
+        QueryQueue { state: Mutex::new(state), ready: Condvar::new(), capacity }
+    }
+
+    /// Poison-tolerant: every update leaves the queue valid, and the reader
+    /// must still be able to close it after the worker died.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues `query` for the next [`wake`](Self::wake); `false` (and the
+    /// query is dropped) when the queue is full.
+    pub fn push(&self, query: PendingQuery) -> bool {
+        let mut state = self.lock();
+        let admitted = state.pending.len() < self.capacity;
+        if admitted {
+            state.pending.push_back(query);
+        }
+        admitted
+    }
+
+    /// Hands everything queued so far to the worker, waking it.
+    pub fn wake(&self) {
+        let mut state = self.lock();
+        if !state.pending.is_empty() && !state.announced {
+            state.announced = true;
+            self.ready.notify_one();
+        }
+    }
+
+    /// Closes the queue: the worker drains what is still queued, then
+    /// [`wait_drain`](Self::wait_drain) returns `None`.
+    pub fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_one();
+    }
+
+    /// Blocks until [`wake`](Self::wake) hands queries over, then takes
+    /// everything queued in FIFO order; `None` once the queue is closed and
+    /// empty.
+    pub fn wait_drain(&self) -> Option<Vec<PendingQuery>> {
+        let mut state = self.lock();
+        while !state.announced && !state.closed {
+            state = self.ready.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+        state.announced = false;
+        (!state.pending.is_empty()).then(|| state.pending.drain(..).collect())
+    }
 }
 
 /// Bounded count of queries currently inside `execute_batch`, across all
@@ -143,6 +231,18 @@ mod tests {
         let (live, expired) = split_expired(vec![pending(9, None)], now);
         assert_eq!(live.len(), 1);
         assert!(expired.is_empty());
+    }
+
+    #[test]
+    fn queue_is_bounded_fifo_and_drains_before_it_ends() {
+        let queue = QueryQueue::new(2);
+        assert!(queue.push(pending(1, None)));
+        assert!(queue.push(pending(2, None)));
+        assert!(!queue.push(pending(3, None)), "the third query is over the bound");
+        queue.close();
+        let drained = queue.wait_drain().expect("queued before the close");
+        assert_eq!(drained.iter().map(|q| q.request_id).collect::<Vec<_>>(), vec![1, 2]);
+        assert!(queue.wait_drain().is_none(), "closed and empty");
     }
 
     #[test]

@@ -188,6 +188,10 @@ fn accept_loop(
             let _ = client.shutdown(Shutdown::Both);
             continue;
         };
+        // The relay forwards frame by frame: without `TCP_NODELAY` on both
+        // legs a pipelined burst would stall here on the peer's delayed ACK.
+        let _ = client.set_nodelay(true);
+        let _ = server.set_nodelay(true);
         let (up_fault, down_fault) = plan_for(conn_index, &mut rng, config);
         conn_index += 1;
         let pairs = client.try_clone().and_then(|c| server.try_clone().map(|s| (c, s)));

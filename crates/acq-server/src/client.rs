@@ -4,8 +4,9 @@
 //! [`Client`] wraps one TCP connection and exposes one method per request
 //! frame kind. It is deliberately synchronous — one outstanding request per
 //! call — except for [`Client::query_batch`], which writes every query frame
-//! before reading any response so the server's per-connection batcher can
-//! coalesce them into a single `execute_batch` call.
+//! with one socket write before reading any response, so the burst reaches
+//! the server together and its per-connection batcher runs it as a single
+//! `execute_batch` call.
 //!
 //! Resilience (see `docs/PROTOCOL.md`, "Deadlines, retries, idempotency"):
 //!
@@ -24,7 +25,7 @@
 //!   replays the server's cached report instead of applying the batch twice.
 
 use crate::frame::{
-    codes, read_frame, write_frame, Frame, FrameError, FrameKind, QueryEnvelope, UpdateEnvelope,
+    codes, encode_into, read_frame, Frame, FrameError, FrameKind, QueryEnvelope, UpdateEnvelope,
     WireError, DEFAULT_MAX_FRAME_LEN,
 };
 use acq_core::{Request, Response, UpdateReport};
@@ -32,7 +33,7 @@ use acq_graph::GraphDelta;
 use acq_metrics::serving::MetricsSnapshot;
 use acq_sync::sync::atomic::{AtomicU64, Ordering};
 use std::fmt;
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -161,10 +162,12 @@ pub struct ClientStats {
 /// Distinguishes `client_id`s auto-derived within this process.
 static CLIENT_SEQ: AtomicU64 = AtomicU64::new(1);
 
-/// The two halves of one established connection.
+/// The two halves of one established connection, and the buffer every
+/// outgoing frame is encoded into (kept, so steady state allocates nothing).
 struct Conn {
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
     reader: BufReader<TcpStream>,
+    out: Vec<u8>,
 }
 
 /// How a failed attempt may be recovered.
@@ -301,6 +304,9 @@ impl Client {
                 None => TcpStream::connect(addr),
             };
             match attempt.and_then(|stream| {
+                // Each call's frames are written at once, so there is
+                // nothing for Nagle to coalesce — only a reply to delay.
+                stream.set_nodelay(true)?;
                 stream.set_read_timeout(self.config.read_timeout)?;
                 stream.set_write_timeout(self.config.write_timeout)?;
                 let read_half = stream.try_clone()?;
@@ -308,8 +314,9 @@ impl Client {
             }) {
                 Ok((stream, read_half)) => {
                     self.conn = Some(Conn {
-                        writer: BufWriter::new(stream),
+                        writer: stream,
                         reader: BufReader::new(read_half),
+                        out: Vec::new(),
                     });
                     if self.ever_connected {
                         self.stats.reconnects += 1;
@@ -325,11 +332,17 @@ impl Client {
         })))
     }
 
-    fn send_frame(&mut self, frame: &Frame) -> Result<(), ClientError> {
+    /// Puts `frames` on the wire with one write, so a pipelined burst
+    /// reaches the server as one unit.
+    fn send_frames(&mut self, frames: &[Frame]) -> Result<(), ClientError> {
         self.ensure_conn()?;
         match &mut self.conn {
             Some(conn) => {
-                write_frame(&mut conn.writer, frame)?;
+                conn.out.clear();
+                for frame in frames {
+                    encode_into(&mut conn.out, frame);
+                }
+                conn.writer.write_all(&conn.out)?;
                 Ok(())
             }
             None => Err(ClientError::Io(io::Error::new(
@@ -444,7 +457,7 @@ impl Client {
     pub fn ping(&mut self) -> Result<(), ClientError> {
         self.with_retries(|client| {
             let id = client.fresh_id();
-            client.send_frame(&Frame::control(FrameKind::Ping, id))?;
+            client.send_frames(&[Frame::control(FrameKind::Ping, id)])?;
             client.expect_kind(id, FrameKind::Pong).map(|_| ())
         })
     }
@@ -453,35 +466,33 @@ impl Client {
     /// Retried under the [`RetryPolicy`] (queries are read-only, so a
     /// repeat is always safe); carries the configured deadline, if any.
     pub fn query(&mut self, request: &Request) -> Result<Response, ClientError> {
-        let payload = self.query_payload(request)?;
+        let mut frame = Frame::new(FrameKind::Query, 0, self.query_payload(request)?);
         self.with_retries(|client| {
-            let id = client.fresh_id();
-            client.send_frame(&Frame::new(FrameKind::Query, id, payload.clone()))?;
-            decode_payload(&client.expect_kind(id, FrameKind::QueryOk)?)
+            frame.request_id = client.fresh_id();
+            client.send_frames(std::slice::from_ref(&frame))?;
+            decode_payload(&client.expect_kind(frame.request_id, FrameKind::QueryOk)?)
         })
     }
 
-    /// Sends every query before reading any response, letting the server
-    /// batch them into one `execute_batch` call. Per-query failures (an
-    /// error frame) are returned in place, in request order. A transport
-    /// failure retries the whole batch.
+    /// Sends every query, with one socket write, before reading any
+    /// response, letting the server batch them into one `execute_batch`
+    /// call. Per-query failures (an error frame) are returned in place, in
+    /// request order. A transport failure retries the whole batch.
     pub fn query_batch(
         &mut self,
         requests: &[Request],
     ) -> Result<Vec<Result<Response, WireError>>, ClientError> {
-        let mut payloads = Vec::with_capacity(requests.len());
+        let mut frames = Vec::with_capacity(requests.len());
         for request in requests {
-            payloads.push(self.query_payload(request)?);
+            frames.push(Frame::new(FrameKind::Query, 0, self.query_payload(request)?));
         }
         self.with_retries(|client| {
-            let mut ids = Vec::with_capacity(payloads.len());
-            for payload in &payloads {
-                let id = client.fresh_id();
-                client.send_frame(&Frame::new(FrameKind::Query, id, payload.clone()))?;
-                ids.push(id);
+            for frame in &mut frames {
+                frame.request_id = client.fresh_id();
             }
-            let mut responses = Vec::with_capacity(ids.len());
-            for id in ids {
+            client.send_frames(&frames)?;
+            let mut responses = Vec::with_capacity(frames.len());
+            for id in frames.iter().map(|sent| sent.request_id) {
                 let frame = client.read_response()?;
                 if frame.request_id != id {
                     return Err(ClientError::Protocol(format!(
@@ -519,11 +530,11 @@ impl Client {
             deadline_ms: self.config.deadline_ms,
             deltas: deltas.to_vec(),
         };
-        let payload = encode_payload(&envelope)?;
+        let mut frame = Frame::new(FrameKind::Update, 0, encode_payload(&envelope)?);
         self.with_retries(|client| {
-            let id = client.fresh_id();
-            client.send_frame(&Frame::new(FrameKind::Update, id, payload.clone()))?;
-            decode_payload(&client.expect_kind(id, FrameKind::UpdateOk)?)
+            frame.request_id = client.fresh_id();
+            client.send_frames(std::slice::from_ref(&frame))?;
+            decode_payload(&client.expect_kind(frame.request_id, FrameKind::UpdateOk)?)
         })
     }
 
@@ -531,7 +542,7 @@ impl Client {
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, ClientError> {
         self.with_retries(|client| {
             let id = client.fresh_id();
-            client.send_frame(&Frame::control(FrameKind::Metrics, id))?;
+            client.send_frames(&[Frame::control(FrameKind::Metrics, id)])?;
             decode_payload(&client.expect_kind(id, FrameKind::MetricsOk)?)
         })
     }
@@ -540,7 +551,7 @@ impl Client {
     /// (`None` on a clean close). Never retried — tooling that pokes at the
     /// protocol needs to see exactly what one exchange does.
     pub fn round_trip_raw(&mut self, frame: &Frame) -> Result<Option<Frame>, ClientError> {
-        self.send_frame(frame)?;
+        self.send_frames(std::slice::from_ref(frame))?;
         match &mut self.conn {
             Some(conn) => Ok(read_frame(&mut conn.reader, self.config.max_frame_len)?),
             None => Ok(None),

@@ -17,7 +17,7 @@
 //! this module keeps the document and the code from drifting apart.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// The wire protocol version this crate speaks (the envelope's first byte).
 pub const PROTOCOL_VERSION: u8 = 1;
@@ -145,17 +145,11 @@ impl fmt::Display for WireError {
     }
 }
 
-/// Serialises a [`WireError`] into an error-frame payload. Serialisation of
-/// this two-string struct cannot fail in practice; if it ever does, a
-/// hand-assembled payload carrying the same code is sent instead of
-/// panicking inside a server thread.
-pub fn error_payload(code: &str, message: impl Into<String>) -> Vec<u8> {
-    wire_error_payload(&WireError::new(code, message))
-}
-
-/// Serialises an already-built [`WireError`] (retry hint included) into an
-/// error-frame payload, with the same non-panicking fallback.
-pub fn wire_error_payload(error: &WireError) -> Vec<u8> {
+/// Serialises a [`WireError`] (retry hint included) into an error-frame
+/// payload. Serialisation of this small struct cannot fail in practice; if
+/// it ever does, a hand-assembled payload carrying the same code is sent
+/// instead of panicking inside a server thread.
+fn wire_error_payload(error: &WireError) -> Vec<u8> {
     let code = &error.code;
     serde_json::to_string(error).map(String::into_bytes).unwrap_or_else(|_| {
         format!(
@@ -168,12 +162,12 @@ pub fn wire_error_payload(error: &WireError) -> Vec<u8> {
 
 /// An [`FrameKind::Error`] frame carrying `code` and `message`.
 pub fn error_frame(request_id: u64, code: &str, message: impl Into<String>) -> Frame {
-    Frame::new(FrameKind::Error, request_id, error_payload(code, message))
+    Frame::new(FrameKind::Error, request_id, wire_error_payload(&WireError::new(code, message)))
 }
 
 /// An [`FrameKind::Error`] frame with a `retry_after_ms` hint — the shape of
 /// every backpressure-class rejection.
-pub fn retry_error_frame(
+pub(crate) fn retry_error_frame(
     request_id: u64,
     code: &str,
     message: impl Into<String>,
@@ -327,22 +321,36 @@ impl FrameError {
     }
 }
 
-/// Encodes a frame into its wire bytes.
-pub fn encode(frame: &Frame) -> Vec<u8> {
+/// Appends a frame's wire bytes (length prefix + envelope + payload) to
+/// `out`. This is the one encoder: a sender that has several frames to put
+/// on the wire appends them all to one buffer and writes it once, so a
+/// pipelined burst (or the answers to one) leaves as one segment instead of
+/// one small write per frame.
+pub fn encode_into(out: &mut Vec<u8>, frame: &Frame) {
     let block_len = ENVELOPE_LEN + frame.payload.len() as u32;
-    let mut out = Vec::with_capacity(4 + block_len as usize);
+    out.reserve(4 + block_len as usize);
     out.extend_from_slice(&block_len.to_be_bytes());
     out.push(PROTOCOL_VERSION);
     out.push(frame.kind.code());
     out.extend_from_slice(&frame.request_id.to_be_bytes());
     out.extend_from_slice(&frame.payload);
+}
+
+/// A single frame's wire bytes in a buffer of their own.
+pub fn encode(frame: &Frame) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_into(&mut out, frame);
     out
 }
 
-/// Writes one frame (length prefix + envelope + payload) and flushes.
-pub fn write_frame<W: Write>(writer: &mut W, frame: &Frame) -> io::Result<()> {
-    writer.write_all(&encode(frame))?;
-    writer.flush()
+/// Whether `buffered` — bytes already received but not yet decoded — starts
+/// with a whole block, so that the next [`read_frame`] returns (a frame, or
+/// its verdict on the block) without waiting for the peer.
+pub(crate) fn starts_with_whole_frame(buffered: &[u8]) -> bool {
+    match buffered.first_chunk::<4>() {
+        Some(prefix) => (buffered.len() - 4) as u64 >= u64::from(u32::from_be_bytes(*prefix)),
+        None => false,
+    }
 }
 
 /// Reads one frame. Returns `Ok(None)` on a clean end-of-stream (the peer
@@ -362,28 +370,30 @@ pub fn read_frame<R: Read>(reader: &mut R, max_len: u32) -> Result<Option<Frame>
     if declared > max_len {
         return Err(FrameError::TooLarge { declared, max: max_len });
     }
-    let mut block = vec![0u8; declared as usize];
-    reader.read_exact(&mut block).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            FrameError::Truncated
-        } else {
-            FrameError::Io(e)
-        }
-    })?;
-    let version = block[0];
-    let kind_code = block[1];
-    let request_id = match block[2..10].try_into() {
-        Ok(bytes) => u64::from_be_bytes(bytes),
-        // Unreachable: `block` holds `declared >= ENVELOPE_LEN = 10` bytes.
-        Err(_) => return Err(FrameError::Truncated),
-    };
+    // The envelope goes to the stack and the payload straight into the
+    // allocation the frame keeps. The whole block is consumed before the
+    // envelope is judged, so a recoverable error leaves the stream at a
+    // frame boundary.
+    let mut envelope = [0u8; ENVELOPE_LEN as usize];
+    let mut payload = vec![0u8; (declared - ENVELOPE_LEN) as usize];
+    for part in [&mut envelope[..], &mut payload[..]] {
+        reader.read_exact(part).map_err(|e| {
+            if e.kind() == io::ErrorKind::UnexpectedEof {
+                FrameError::Truncated
+            } else {
+                FrameError::Io(e)
+            }
+        })?;
+    }
+    let [version, kind_code, id @ ..] = envelope;
+    let request_id = u64::from_be_bytes(id);
     if version != PROTOCOL_VERSION {
         return Err(FrameError::UnsupportedVersion(version));
     }
     let Some(kind) = FrameKind::from_code(kind_code) else {
         return Err(FrameError::UnknownKind { code: kind_code, request_id });
     };
-    Ok(Some(Frame { kind, request_id, payload: block[ENVELOPE_LEN as usize..].to_vec() }))
+    Ok(Some(Frame { kind, request_id, payload }))
 }
 
 enum ReadOutcome {
@@ -446,8 +456,10 @@ mod tests {
         );
         // A terminal error carries an explicit null hint.
         assert_eq!(
-            std::str::from_utf8(&error_payload(codes::INVALID_QUERY, "vertex 99 does not exist"))
-                .unwrap(),
+            std::str::from_utf8(
+                &error_frame(0, codes::INVALID_QUERY, "vertex 99 does not exist").payload
+            )
+            .unwrap(),
             r#"{"code":"invalid-query","message":"vertex 99 does not exist","retry_after_ms":null}"#
         );
     }
@@ -524,7 +536,7 @@ mod tests {
     #[test]
     fn several_frames_stream_back_to_back() {
         let mut bytes = encode(&Frame::control(FrameKind::Ping, 1));
-        bytes.extend(encode(&Frame::new(FrameKind::Query, 2, b"xy".to_vec())));
+        encode_into(&mut bytes, &Frame::new(FrameKind::Query, 2, b"xy".to_vec()));
         let mut cursor = bytes.as_slice();
         let first = read_frame(&mut cursor, DEFAULT_MAX_FRAME_LEN).unwrap().unwrap();
         let second = read_frame(&mut cursor, DEFAULT_MAX_FRAME_LEN).unwrap().unwrap();
@@ -532,6 +544,21 @@ mod tests {
         assert_eq!(second.request_id, 2);
         assert_eq!(second.payload, b"xy");
         assert!(read_frame(&mut cursor, DEFAULT_MAX_FRAME_LEN).unwrap().is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn a_whole_buffered_frame_is_told_from_a_partial_one() {
+        let mut bytes = encode(&Frame::new(FrameKind::Query, 1, b"abc".to_vec()));
+        let whole = bytes.len();
+        encode_into(&mut bytes, &Frame::control(FrameKind::Ping, 2));
+        for cut in 0..whole {
+            assert!(!starts_with_whole_frame(&bytes[..cut]), "{cut} of {whole} bytes");
+        }
+        // Whole with nothing behind it, and whole with part of the next.
+        for cut in whole..bytes.len() {
+            assert!(starts_with_whole_frame(&bytes[..cut]));
+        }
+        assert!(starts_with_whole_frame(&bytes[whole..]), "the ping behind it");
     }
 
     #[test]

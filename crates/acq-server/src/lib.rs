@@ -49,13 +49,12 @@ pub mod metrics;
 pub mod server;
 pub mod transactor;
 
-pub use admission::{InFlightGauge, PendingQuery, Reservation};
+pub use admission::{InFlightGauge, PendingQuery, QueryQueue, Reservation};
 pub use chaos::{ChaosConfig, ChaosProxy};
 pub use client::{Client, ClientConfig, ClientError, ClientStats, RetryPolicy};
 pub use frame::{
-    codes, encode, read_frame, retry_error_frame, wire_error_payload, write_frame, Frame,
-    FrameError, FrameKind, QueryEnvelope, UpdateEnvelope, WireError, DEFAULT_MAX_FRAME_LEN,
-    ENVELOPE_LEN, PROTOCOL_VERSION,
+    codes, encode, encode_into, read_frame, Frame, FrameError, FrameKind, QueryEnvelope,
+    UpdateEnvelope, WireError, DEFAULT_MAX_FRAME_LEN, ENVELOPE_LEN, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use transactor::{ReplySink, Transactor, WriteJob};

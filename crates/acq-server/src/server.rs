@@ -6,10 +6,11 @@
 //!   per core) share one `TcpListener` and spawn a reader + worker thread
 //!   pair per connection.
 //! * **Read path** — the reader decodes frames and pushes `Query` requests
-//!   into a bounded per-connection queue; the worker drains whatever has
-//!   accumulated and hands it to `Executor::execute_batch` as **one**
-//!   batch, so a bursty client is automatically batched against a single
-//!   generation snapshot. Responses are written in request order.
+//!   into a bounded per-connection queue, waking the worker only before it
+//!   would block; the worker drains whatever has accumulated and hands it
+//!   to `Executor::execute_batch` as **one** batch, so a pipelined burst is
+//!   executed whole against a single generation snapshot. The responses of
+//!   a batch are written in request order with one socket write.
 //! * **Write path** — `Update` frames are forwarded to the single
 //!   transactor thread; readers never apply deltas.
 //! * **Admission control** — three bounds, each answered with a
@@ -17,10 +18,11 @@
 //!   the frame-size bound, the per-connection queue bound, and the global
 //!   in-flight query bound.
 
-use crate::admission::{split_expired, InFlightGauge, PendingQuery};
+use crate::admission::{split_expired, InFlightGauge, PendingQuery, QueryQueue};
 use crate::frame::{
-    codes, error_payload, read_frame, retry_error_frame, write_frame, Frame, FrameError, FrameKind,
-    QueryEnvelope, UpdateEnvelope, DEFAULT_MAX_FRAME_LEN,
+    codes, encode, encode_into, error_frame, read_frame, retry_error_frame,
+    starts_with_whole_frame, Frame, FrameError, FrameKind, QueryEnvelope, UpdateEnvelope,
+    DEFAULT_MAX_FRAME_LEN,
 };
 use crate::metrics::ServerMetrics;
 use crate::transactor::{ReplySink, Transactor, WriteJob};
@@ -30,18 +32,17 @@ use acq_graph::GraphDelta;
 use acq_metrics::serving::MetricsSnapshot;
 use acq_sync::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use acq_sync::sync::mpsc::Sender;
-use acq_sync::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use acq_sync::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use acq_sync::thread::JoinHandle;
-use std::collections::VecDeque;
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 /// Locks a mutex, proceeding with the data even when a peer thread panicked
 /// while holding it. Every structure guarded this way (the connection
-/// registries, the per-connection queue, the shared writer) tolerates a torn
-/// peer update, and shutdown in particular must still be able to close
-/// sockets and join threads after a worker died.
+/// registries, the shared writer) tolerates a torn peer update, and shutdown
+/// in particular must still be able to close sockets and join threads after
+/// a worker died.
 fn lock_tolerant<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -299,6 +300,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, tx: &Sender<WriteJo
         }
         ServerMetrics::bump(&shared.metrics.connections_accepted);
         ServerMetrics::bump(&shared.metrics.connections_open);
+        // Responses leave when they are written: without `TCP_NODELAY` the
+        // second small write of a burst waits out the peer's delayed ACK.
+        let _ = stream.set_nodelay(true);
         // Socket timeouts must be set before `try_clone`: the options live on
         // the shared file description, so the write half inherits them.
         let _ = stream.set_read_timeout(timeout_of(shared.config.read_timeout_ms));
@@ -350,33 +354,24 @@ pub(crate) struct ConnectionWriter {
 }
 
 impl ConnectionWriter {
-    /// Writes one frame under the lock, counting it. The lock is
-    /// poison-tolerant: a frame is either fully written or abandoned with
-    /// the connection, so a panicking peer cannot leave a torn frame behind,
-    /// and the other threads sharing the writer (reader, worker, transactor)
-    /// must keep answering during shutdown regardless.
-    pub fn send(&self, frame: &Frame) -> io::Result<()> {
+    /// Writes `frames` already-encoded frames with one `write_all` under
+    /// the lock, counting them first — a client that has read its answers
+    /// finds them counted. The lock is poison-tolerant: the bytes are
+    /// either fully written or abandoned with the connection, so a
+    /// panicking peer cannot leave a torn frame behind, and the other
+    /// threads sharing the writer (reader, worker, transactor) must keep
+    /// answering during shutdown regardless.
+    fn write_encoded(&self, bytes: &[u8], frames: u64) -> io::Result<()> {
         let mut stream = lock_tolerant(&self.stream);
-        write_frame(&mut *stream, frame)?;
-        ServerMetrics::bump(&self.metrics.frames_sent);
-        Ok(())
-    }
-
-    fn send_error(&self, request_id: u64, code: &str, message: &str) -> io::Result<()> {
-        self.send(&Frame::new(FrameKind::Error, request_id, error_payload(code, message)))
+        ServerMetrics::add(&self.metrics.frames_sent, frames);
+        stream.write_all(bytes)
     }
 }
 
 impl ReplySink for ConnectionWriter {
     fn send(&self, frame: &Frame) -> io::Result<()> {
-        ConnectionWriter::send(self, frame)
+        self.write_encoded(&encode(frame), 1)
     }
-}
-
-/// Pending queries of one connection, drained by its worker in FIFO order.
-struct Queue {
-    pending: VecDeque<PendingQuery>,
-    closed: bool,
 }
 
 fn connection_loop(stream: TcpStream, shared: &Arc<Shared>, tx: &Sender<WriteJob>) {
@@ -385,8 +380,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>, tx: &Sender<WriteJob
         stream: Mutex::new(write_half),
         metrics: Arc::clone(&shared.metrics),
     });
-    let queue =
-        Arc::new((Mutex::new(Queue { pending: VecDeque::new(), closed: false }), Condvar::new()));
+    let queue = Arc::new(QueryQueue::new(shared.config.queue_capacity));
 
     let Ok(worker) = ({
         let queue = Arc::clone(&queue);
@@ -402,6 +396,12 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>, tx: &Sender<WriteJob
 
     let mut reader = BufReader::new(stream);
     loop {
+        // Queued queries wait for the worker only while the next frame is
+        // already in hand: what arrived together is executed together, and
+        // nothing queued waits out a read that may block.
+        if !starts_with_whole_frame(reader.buffer()) {
+            queue.wake();
+        }
         match read_frame(&mut reader, shared.config.max_frame_len) {
             Ok(None) => break,
             Ok(Some(frame)) => {
@@ -419,6 +419,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>, tx: &Sender<WriteJob
                     break;
                 }
                 ServerMetrics::bump(&shared.metrics.protocol_errors);
+                queue.wake();
                 let keep_going = report_frame_error(&error, &writer);
                 if !keep_going {
                     break;
@@ -427,13 +428,9 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>, tx: &Sender<WriteJob
         }
     }
 
-    // Stop the worker: close the queue (pending queries still drain) and
-    // wake it; then release the write half.
-    {
-        let (lock, cvar) = &*queue;
-        lock_tolerant(lock).closed = true;
-        cvar.notify_all();
-    }
+    // Stop the worker (pending queries still drain), then release the
+    // write half.
+    queue.close();
     let _ = worker.join();
 }
 
@@ -455,35 +452,35 @@ fn is_timeout(error: &FrameError) -> bool {
 fn report_frame_error(error: &FrameError, writer: &ConnectionWriter) -> bool {
     match error {
         FrameError::UnknownKind { code, request_id } => {
-            let _ = writer.send_error(
+            let _ = writer.send(&error_frame(
                 *request_id,
                 codes::UNKNOWN_KIND,
-                &format!("unknown frame kind {code:#04x}"),
-            );
+                format!("unknown frame kind {code:#04x}"),
+            ));
             true
         }
         FrameError::TooLarge { declared, max } => {
-            let _ = writer.send_error(
+            let _ = writer.send(&error_frame(
                 0,
                 codes::OVERSIZE_FRAME,
-                &format!("frame declares {declared} bytes, bound is {max}; closing"),
-            );
+                format!("frame declares {declared} bytes, bound is {max}; closing"),
+            ));
             false
         }
         FrameError::TooShort { declared } => {
-            let _ = writer.send_error(
+            let _ = writer.send(&error_frame(
                 0,
                 codes::MALFORMED_FRAME,
-                &format!("frame declares {declared} bytes, below the envelope size; closing"),
-            );
+                format!("frame declares {declared} bytes, below the envelope size; closing"),
+            ));
             false
         }
         FrameError::UnsupportedVersion(version) => {
-            let _ = writer.send_error(
+            let _ = writer.send(&error_frame(
                 0,
                 codes::UNSUPPORTED_VERSION,
-                &format!("protocol version {version} is not supported; closing"),
-            );
+                format!("protocol version {version} is not supported; closing"),
+            ));
             false
         }
         FrameError::Truncated | FrameError::Io(_) => false,
@@ -491,53 +488,43 @@ fn report_frame_error(error: &FrameError, writer: &ConnectionWriter) -> bool {
 }
 
 /// Dispatches one decoded frame; returns whether the connection survives.
+///
+/// A query that joins the queue and an update handed to the transactor
+/// leave the worker asleep; a reply, which may block on the socket, wakes it
+/// first, so queued queries never wait on this connection's writes.
 fn handle_frame(
     frame: Frame,
     shared: &Arc<Shared>,
     writer: &Arc<ConnectionWriter>,
-    queue: &Arc<(Mutex<Queue>, Condvar)>,
+    queue: &QueryQueue,
     tx: &Sender<WriteJob>,
 ) -> bool {
     let id = frame.request_id;
-    match frame.kind {
-        FrameKind::Ping => writer.send(&Frame::control(FrameKind::Pong, id)).is_ok(),
+    let reply = match frame.kind {
+        FrameKind::Ping => Frame::control(FrameKind::Pong, id),
         FrameKind::Metrics => match serde_json::to_string(&snapshot(shared)) {
-            Ok(payload) => {
-                writer.send(&Frame::new(FrameKind::MetricsOk, id, payload.into_bytes())).is_ok()
+            Ok(payload) => Frame::new(FrameKind::MetricsOk, id, payload.into_bytes()),
+            Err(e) => {
+                error_frame(id, codes::MALFORMED_PAYLOAD, format!("snapshot not serialisable: {e}"))
             }
-            Err(e) => writer
-                .send_error(
-                    id,
-                    codes::MALFORMED_PAYLOAD,
-                    &format!("snapshot not serialisable: {e}"),
-                )
-                .is_ok(),
         },
         FrameKind::Query => match decode_query(&frame.payload) {
             Ok((request, deadline_ms)) => {
                 let deadline = deadline_of(deadline_ms);
-                let (lock, cvar) = &**queue;
-                let mut q = lock_tolerant(lock);
-                if q.pending.len() >= shared.config.queue_capacity {
-                    drop(q);
-                    ServerMetrics::bump(&shared.metrics.admission_rejections);
-                    writer
-                        .send(&retry_error_frame(
-                            id,
-                            codes::BACKPRESSURE,
-                            "per-connection queue full; retry",
-                            shared.config.retry_after_ms,
-                        ))
-                        .is_ok()
-                } else {
-                    q.pending.push_back(PendingQuery { request_id: id, request, deadline });
-                    cvar.notify_one();
-                    true
+                if queue.push(PendingQuery { request_id: id, request, deadline }) {
+                    return true;
                 }
+                ServerMetrics::bump(&shared.metrics.admission_rejections);
+                retry_error_frame(
+                    id,
+                    codes::BACKPRESSURE,
+                    "per-connection queue full; retry",
+                    shared.config.retry_after_ms,
+                )
             }
             Err(message) => {
                 ServerMetrics::bump(&shared.metrics.protocol_errors);
-                writer.send_error(id, codes::MALFORMED_PAYLOAD, &message).is_ok()
+                error_frame(id, codes::MALFORMED_PAYLOAD, message)
             }
         },
         FrameKind::Update => match decode_update(&frame.payload) {
@@ -549,23 +536,20 @@ fn handle_frame(
                 // transactor decrements after answering, and shutdown's drain
                 // window polls this gauge to zero.
                 ServerMetrics::bump(&shared.metrics.pending_writes);
-                if tx.send(job).is_err() {
-                    crate::transactor::release_pending_write(&shared.metrics);
-                    writer
-                        .send(&retry_error_frame(
-                            id,
-                            codes::SHUTTING_DOWN,
-                            "transactor is shutting down",
-                            shared.config.retry_after_ms,
-                        ))
-                        .is_ok()
-                } else {
-                    true
+                if tx.send(job).is_ok() {
+                    return true;
                 }
+                crate::transactor::release_pending_write(&shared.metrics);
+                retry_error_frame(
+                    id,
+                    codes::SHUTTING_DOWN,
+                    "transactor is shutting down",
+                    shared.config.retry_after_ms,
+                )
             }
             Err(message) => {
                 ServerMetrics::bump(&shared.metrics.protocol_errors);
-                writer.send_error(id, codes::MALFORMED_PAYLOAD, &message).is_ok()
+                error_frame(id, codes::MALFORMED_PAYLOAD, message)
             }
         },
         // A client sent a server-only kind: answer and keep the connection.
@@ -575,33 +559,30 @@ fn handle_frame(
         | FrameKind::Pong
         | FrameKind::Error => {
             ServerMetrics::bump(&shared.metrics.protocol_errors);
-            writer
-                .send_error(id, codes::UNKNOWN_KIND, "response frame kinds are server-to-client")
-                .is_ok()
+            error_frame(id, codes::UNKNOWN_KIND, "response frame kinds are server-to-client")
         }
-    }
+    };
+    queue.wake();
+    writer.send(&reply).is_ok()
 }
 
 /// Drains the connection's queue into batches and executes them. One
-/// iteration takes *everything* that accumulated while the previous batch
-/// ran — that is the per-connection batching: under load, the batch grows
-/// and per-query overhead amortises; when idle, batches degenerate to size 1.
-fn worker_loop(
-    queue: &Arc<(Mutex<Queue>, Condvar)>,
-    writer: &Arc<ConnectionWriter>,
-    shared: &Arc<Shared>,
-) {
-    loop {
-        let batch: Vec<PendingQuery> = {
-            let (lock, cvar) = &**queue;
-            let mut q = lock_tolerant(lock);
-            while q.pending.is_empty() && !q.closed {
-                q = cvar.wait(q).unwrap_or_else(PoisonError::into_inner);
-            }
-            if q.pending.is_empty() && q.closed {
-                return;
-            }
-            q.pending.drain(..).collect()
+/// iteration takes *everything* that is queued — a pipelined burst that
+/// arrived in one segment, or whatever accumulated while the previous batch
+/// ran — so the batch grows with the load and per-query overhead amortises;
+/// a client that waits for each answer gets batches of size 1.
+///
+/// Every response of an iteration is encoded into `out`, which lives as
+/// long as the connection, and leaves with one socket write: a burst that
+/// came in as one segment goes out as one.
+fn worker_loop(queue: &QueryQueue, writer: &ConnectionWriter, shared: &Shared) {
+    let mut out = Vec::new();
+    while let Some(batch) = queue.wait_drain() {
+        out.clear();
+        let mut frames = 0u64;
+        let mut respond = |frame: &Frame| {
+            encode_into(&mut out, frame);
+            frames += 1;
         };
 
         // Shed queries whose deadline passed while they sat in the queue:
@@ -610,14 +591,11 @@ fn worker_loop(
         let (batch, expired) = split_expired(batch, Instant::now());
         for id in expired {
             ServerMetrics::bump(&shared.metrics.deadline_shed);
-            let _ = writer.send_error(
+            respond(&error_frame(
                 id,
                 codes::DEADLINE_EXCEEDED,
                 "deadline expired while the query was queued",
-            );
-        }
-        if batch.is_empty() {
-            continue;
+            ));
         }
 
         // Global admission: reserve up to `max_in_flight` slots; the
@@ -627,46 +605,49 @@ fn worker_loop(
         // leaked slot would shrink the server's capacity permanently).
         let reservation = shared.in_flight.reserve(batch.len());
         let admitted = reservation.admitted();
-        for query in &batch[admitted..] {
-            ServerMetrics::bump(&shared.metrics.admission_rejections);
-            let _ = writer.send(&retry_error_frame(
-                query.request_id,
-                codes::BACKPRESSURE,
-                "server at max in-flight; retry",
-                shared.config.retry_after_ms,
-            ));
-        }
-        if admitted == 0 {
-            continue;
+        let mut ids = Vec::with_capacity(admitted);
+        let mut requests = Vec::with_capacity(admitted);
+        for query in batch {
+            if ids.len() < admitted {
+                ids.push(query.request_id);
+                requests.push(query.request);
+            } else {
+                ServerMetrics::bump(&shared.metrics.admission_rejections);
+                respond(&retry_error_frame(
+                    query.request_id,
+                    codes::BACKPRESSURE,
+                    "server at max in-flight; retry",
+                    shared.config.retry_after_ms,
+                ));
+            }
         }
 
-        let run = &batch[..admitted];
-        shared.metrics.record_batch(run.len() as u64);
-        let requests: Vec<Request> = run.iter().map(|q| q.request.clone()).collect();
-        let results = shared.engine.execute_batch(&requests);
-        drop(reservation);
-
-        for (query, result) in run.iter().zip(results) {
-            let id = query.request_id;
-            let frame = match result {
-                Ok(response) => {
-                    ServerMetrics::bump(&shared.metrics.queries_served);
-                    match serde_json::to_string(&response) {
-                        Ok(json) => Frame::new(FrameKind::QueryOk, id, json.into_bytes()),
-                        Err(e) => {
-                            let _ = writer.send_error(id, codes::MALFORMED_PAYLOAD, &e.to_string());
-                            return;
-                        }
+        if !requests.is_empty() {
+            shared.metrics.record_batch(requests.len() as u64);
+            let results = shared.engine.execute_batch(&requests);
+            drop(reservation);
+            for (id, result) in ids.into_iter().zip(results) {
+                let answer = result.map_err(|e| (codes::INVALID_QUERY, e.to_string())).and_then(
+                    |response| {
+                        serde_json::to_string(&response)
+                            .map_err(|e| (codes::MALFORMED_PAYLOAD, e.to_string()))
+                    },
+                );
+                match answer {
+                    Ok(json) => {
+                        ServerMetrics::bump(&shared.metrics.queries_served);
+                        respond(&Frame::new(FrameKind::QueryOk, id, json.into_bytes()));
+                    }
+                    Err((code, message)) => {
+                        ServerMetrics::bump(&shared.metrics.query_errors);
+                        respond(&error_frame(id, code, message));
                     }
                 }
-                Err(query_error) => {
-                    ServerMetrics::bump(&shared.metrics.query_errors);
-                    crate::frame::error_frame(id, codes::INVALID_QUERY, query_error.to_string())
-                }
-            };
-            if writer.send(&frame).is_err() {
-                return;
             }
+        }
+
+        if writer.write_encoded(&out, frames).is_err() {
+            return;
         }
     }
 }

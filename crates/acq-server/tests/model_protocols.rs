@@ -1,5 +1,6 @@
-//! Model checks for the server's write-drain, admission, and write-dedup
-//! protocols (invariants (b) and (c) of `docs/CONCURRENCY.md`).
+//! Model checks for the server's write-drain, admission, write-dedup and
+//! query-queue protocols (invariants (b), (c) and (e) of
+//! `docs/CONCURRENCY.md`).
 //!
 //! The transactor is exercised through the [`ReplySink`] seam with a
 //! recording mock instead of a socket writer, so the drain protocol is
@@ -7,13 +8,14 @@
 //! bounded interleaving of submitters, the transactor thread, and shutdown
 //! is explored; in normal builds the tests run once on real threads.
 
-use acq_core::Engine;
+use acq_core::{Engine, Request};
 use acq_durable::WriteToken;
-use acq_graph::{unlabeled_graph, GraphDelta};
+use acq_graph::{unlabeled_graph, GraphDelta, VertexId};
 use acq_server::frame::{Frame, FrameKind};
 use acq_server::metrics::ServerMetrics;
-use acq_server::{InFlightGauge, ReplySink, Transactor, WriteJob};
+use acq_server::{InFlightGauge, PendingQuery, QueryQueue, ReplySink, Transactor, WriteJob};
 use acq_sync::model::model;
+use acq_sync::sync::mpsc::channel;
 use acq_sync::sync::{Arc, Mutex};
 use acq_sync::thread;
 use std::io;
@@ -212,5 +214,76 @@ fn admission_slot_returns_even_when_the_holder_panics() {
         let r = gauge.reserve(1);
         assert_eq!(r.admitted(), 1, "the panicking holder leaked its slot");
         assert_eq!(gauge.in_flight(), 1);
+    });
+}
+
+fn queued(request_id: u64) -> PendingQuery {
+    PendingQuery { request_id, request: Request::community(VertexId(0)), deadline: None }
+}
+
+/// Invariant (e), part one: a push hands nothing over, so the reader's wake
+/// before it blocks is the only thing that gets a burst executed — and it is
+/// never lost. The reader pushes two queries, wakes, and then *blocks* until
+/// both were executed (as a connection reader blocks on its socket until
+/// the client, which is waiting for those answers, sends more): a schedule
+/// in which the worker sleeps through the wake is a deadlock, which the
+/// model reports. Only afterwards is the queue closed.
+#[test]
+fn a_wake_before_blocking_is_never_lost() {
+    model(|| {
+        let queue = Arc::new(QueryQueue::new(4));
+        let (executed_tx, executed) = channel::<u64>();
+        let worker = {
+            let queue = Arc::clone(&queue);
+            thread::spawn(move || {
+                let mut batches = Vec::new();
+                while let Some(batch) = queue.wait_drain() {
+                    assert!(!batch.is_empty(), "the worker was woken for nothing");
+                    for query in &batch {
+                        executed_tx.send(query.request_id).expect("the reader outlives the worker");
+                    }
+                    batches.push(batch.len());
+                }
+                batches
+            })
+        };
+
+        assert!(queue.push(queued(1)));
+        assert!(queue.push(queued(2)));
+        queue.wake();
+        let answered = [executed.recv(), executed.recv()].map(|id| id.expect("worker alive"));
+        assert_eq!(answered, [1, 2], "executed in request order");
+        queue.close();
+
+        let batches = worker.join().unwrap();
+        assert_eq!(batches, vec![2], "queries pushed before one wake run as one batch");
+    });
+}
+
+/// Invariant (e), part two: whatever is queued when the connection closes
+/// is still executed, exactly once and in order — including a query pushed
+/// after the last wake, and whether the worker was waiting, draining, or
+/// not yet started when the close came.
+#[test]
+fn close_leaves_no_queued_query_unexecuted() {
+    model(|| {
+        let queue = Arc::new(QueryQueue::new(4));
+        let worker = {
+            let queue = Arc::clone(&queue);
+            thread::spawn(move || {
+                let mut executed = Vec::new();
+                while let Some(batch) = queue.wait_drain() {
+                    executed.extend(batch.iter().map(|query| query.request_id));
+                }
+                executed
+            })
+        };
+
+        assert!(queue.push(queued(1)));
+        queue.wake();
+        assert!(queue.push(queued(2)));
+        queue.close();
+
+        assert_eq!(worker.join().unwrap(), vec![1, 2]);
     });
 }

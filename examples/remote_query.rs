@@ -4,9 +4,11 @@
 //! for a few seconds so it can be launched back-to-back with the server.
 //! Then it exercises every frame kind — ping, a single query, a batch of
 //! queries, an update through the transactor, and a metrics scrape — and
-//! **exits non-zero** if any step fails or the scraped `queries_served`,
-//! `updates_applied`, `batches_executed` and `generation` do not account for
-//! the session, which is what the CI `server-smoke` job asserts.
+//! **exits non-zero** if any step fails, if the pipelined batch takes 20 ms
+//! or more in the median (a socket without `TCP_NODELAY` stalls each one for
+//! 40 ms), or if the scraped `queries_served`, `updates_applied`,
+//! `batches_executed`, `max_batch` and `generation` do not account for the
+//! session, which is what the CI `server-smoke` job asserts.
 //!
 //! ```text
 //! cargo run --example serve &
@@ -52,13 +54,23 @@ fn main() {
     );
     assert!(!ac.vertices.is_empty(), "the paper's example community is non-empty");
 
-    // 3. A pipelined batch — sent before any response is read, so the
-    //    server's per-connection batcher can run it as one execute_batch.
+    // 3. A pipelined batch — written at once before any response is read,
+    //    so the server runs it as one execute_batch and answers with one
+    //    write. Timed over a few rounds: the median must stay under half
+    //    the 40 ms a delayed ACK would add to every one of them.
     let batch: Vec<Request> = (0..8u32).map(|v| Request::community(VertexId(v)).k(1)).collect();
-    let answers = client.query_batch(&batch).expect("batch answered");
-    let ok = answers.iter().filter(|a| a.is_ok()).count();
-    println!("batch of {}: {} ok, {} rejected", batch.len(), ok, answers.len() - ok);
-    assert_eq!(ok, batch.len(), "every batched query succeeds on the toy graph");
+    let mut latencies = Vec::new();
+    for _ in 0..5 {
+        let sent = std::time::Instant::now();
+        let answers = client.query_batch(&batch).expect("batch answered");
+        latencies.push(sent.elapsed());
+        let ok = answers.iter().filter(|a| a.is_ok()).count();
+        assert_eq!(ok, batch.len(), "every batched query succeeds on the toy graph");
+    }
+    latencies.sort();
+    let median = latencies[latencies.len() / 2];
+    println!("batch of {}: all ok, median of {} rounds {median:?}", batch.len(), latencies.len());
+    assert!(median.as_millis() < 20, "a pipelined batch took {median:?}: missing TCP_NODELAY?");
 
     // 4. A write through the transactor: a new edge E–B (not in the paper
     //    graph), then remove it again so repeated runs stay idempotent.
@@ -88,6 +100,11 @@ fn main() {
     assert!(s.queries_served >= 10, "queries_served={}", s.queries_served);
     assert!(s.updates_applied >= 2, "updates_applied={}", s.updates_applied);
     assert!(s.batches_executed >= 1, "batches_executed={}", s.batches_executed);
+    assert!(
+        s.max_batch >= batch.len() as u64,
+        "the batch ran in pieces: max_batch={}",
+        s.max_batch
+    );
     assert!(snapshot.generation >= 3, "generation={}", snapshot.generation);
     println!("remote_query: all assertions passed");
 }

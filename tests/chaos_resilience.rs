@@ -21,9 +21,12 @@
 
 use attributed_community_search::durable::FsStorage;
 use attributed_community_search::prelude::*;
-use attributed_community_search::server::{ChaosConfig, ChaosProxy, ClientConfig, RetryPolicy};
+use attributed_community_search::server::{
+    ChaosConfig, ChaosProxy, ClientConfig, RetryPolicy, WireError,
+};
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Deterministic batch stream: every even batch mints a vertex, every odd
 /// batch wires the fresh vertex into the graph. `InsertVertex` is NOT
@@ -215,6 +218,56 @@ fn queries_through_chaos_match_direct_answers() {
             "round {round}: chaos must not change a query's answer"
         );
     }
+
+    drop(proxy);
+    drop(durable);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A pipelined burst crosses the proxy as fast as it crosses a wire. The
+/// relay forwards frame by frame, so without `TCP_NODELAY` on both of its
+/// legs every burst would wait out a 40 ms delayed ACK inside the harness
+/// and hide whatever the server does with it.
+#[test]
+fn a_pipelined_batch_through_a_clean_proxy_matches_direct_answers() {
+    let (server, durable, dir) = durable_server("burst", single_engine);
+    // Plan 4 of the cycle only delays, and here by nothing: a clean relay.
+    let proxy = ChaosProxy::start(server.local_addr(), ChaosConfig { seed: 3, delay_ms: 0 })
+        .expect("start chaos proxy");
+    for _ in 0..4 {
+        drop(TcpStream::connect(proxy.local_addr()).expect("burn a faulty-plan connection"));
+    }
+    let requests: Vec<Request> =
+        (0..16u32).map(|i| Request::community(VertexId(i % 10)).k(1 + (i % 3) as usize)).collect();
+    let answers = |responses: Vec<Result<Response, _>>| -> Vec<String> {
+        responses
+            .into_iter()
+            .map(|r: Result<Response, WireError>| {
+                serde_json::to_string(&r.expect("query answered").result).expect("serialises")
+            })
+            .collect()
+    };
+
+    let mut direct = Client::connect(server.local_addr()).expect("connect direct");
+    let expected = answers(direct.query_batch(&requests).expect("direct batch"));
+
+    let mut relayed = Client::connect_with_config(proxy.local_addr(), chaos_client_config())
+        .expect("connect through proxy");
+    let mut latencies = Vec::new();
+    for round in 0..20 {
+        let sent = Instant::now();
+        let responses = relayed.query_batch(&requests).expect("relayed batch");
+        latencies.push(sent.elapsed());
+        assert_eq!(answers(responses), expected, "round {round}: the relay changed an answer");
+    }
+    assert_eq!(relayed.stats().retries, 0, "the clean plan must not have forced a retry");
+    latencies.sort();
+    let median = latencies[latencies.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "a relayed burst took {median:?} in the median: a socket without TCP_NODELAY?"
+    );
 
     drop(proxy);
     drop(durable);

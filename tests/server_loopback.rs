@@ -479,6 +479,122 @@ proptest! {
     }
 }
 
+/// A pipelined burst crosses the wire and the server as one unit: written
+/// at once, executed as one batch, answered with one write — and therefore
+/// fast. The bound is half the 40 ms delayed-ACK timer a socket without
+/// `TCP_NODELAY` would stall every burst on, and it is on the median, so one
+/// slow round on a busy CI host does not reach it.
+#[test]
+fn a_pipelined_burst_is_one_batch_and_answers_like_sequential_queries() {
+    let graph = Arc::new(paper_figure3_graph());
+    let engine = Arc::new(Engine::new(Arc::clone(&graph)));
+    let server =
+        Server::bind("127.0.0.1:0", engine, ServerConfig::default()).expect("bind loopback");
+    let burst: Vec<Request> = request_mix(&graph).into_iter().take(16).collect();
+
+    let mut sequential = Client::connect(server.local_addr()).expect("connect");
+    let expected: Vec<String> =
+        burst.iter().map(|r| result_bytes(&sequential.query(r).expect("query answered"))).collect();
+    drop(sequential);
+
+    // The first burst on a fresh connection is already whole: nothing has
+    // to warm up for the 16 queries to reach `execute_batch` together.
+    let mut pipelined = Client::connect(server.local_addr()).expect("connect");
+    let before = server.metrics_snapshot().server;
+    assert_eq!(before.max_batch, 1, "the sequential client never pipelined");
+    let mut latencies = Vec::new();
+    for round in 0..20 {
+        let sent = std::time::Instant::now();
+        let answers = pipelined.query_batch(&burst).expect("batch answered");
+        latencies.push(sent.elapsed());
+        let got: Vec<String> =
+            answers.into_iter().map(|r| result_bytes(&r.expect("query answered"))).collect();
+        assert_eq!(got, expected, "round {round}: a burst must answer like sequential queries");
+        if round == 0 {
+            let after = server.metrics_snapshot().server;
+            assert!(
+                after.max_batch >= 16,
+                "the burst ran in pieces: max_batch {}",
+                after.max_batch
+            );
+            assert_eq!(after.frames_sent - before.frames_sent, 16, "one frame per query");
+        }
+    }
+    latencies.sort();
+    let median = latencies[latencies.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "a 16-query burst took {median:?} in the median: a socket without TCP_NODELAY?"
+    );
+    server.shutdown();
+}
+
+/// The responses of one batch come back in request order, an invalid query
+/// in the middle answered in place by its error frame.
+#[test]
+fn an_invalid_query_inside_a_burst_is_answered_in_place() {
+    let graph = Arc::new(paper_figure3_graph());
+    let reference = Engine::new(Arc::clone(&graph));
+    let mut client = Client::connect(fuzz_addr()).expect("connect");
+    let burst = [
+        Request::community(VertexId(0)).k(2),
+        Request::community(VertexId(99)).k(2),
+        Request::community(VertexId(3)).k(1),
+    ];
+    let answers = client.query_batch(&burst).expect("batch answered");
+    assert_eq!(answers.len(), 3);
+    for (request, answer) in burst.iter().zip(&answers) {
+        match (reference.execute(request), answer) {
+            (Ok(direct), Ok(remote)) => assert_eq!(result_bytes(remote), result_bytes(&direct)),
+            (Err(direct), Err(wire)) => {
+                assert_eq!(wire.code, codes::INVALID_QUERY);
+                assert_eq!(wire.message, direct.to_string());
+            }
+            (direct, remote) => panic!("{request:?}: direct {direct:?}, remote {remote:?}"),
+        }
+    }
+}
+
+/// The reader leaves queued queries to wait only while the next frame is
+/// already in its buffer. Whatever else shares their segment — a frame the
+/// reader answers itself, half a frame it has to wait for — they are
+/// executed before the reader turns to it.
+#[test]
+fn queued_queries_do_not_wait_for_what_shares_their_segment() {
+    let addr = fuzz_addr();
+    let query = |id: u64| {
+        let request = serde_json::to_string(&Request::community(VertexId(0)).k(2)).expect("json");
+        encode(&Frame::new(FrameKind::Query, id, request.into_bytes()))
+    };
+
+    // [Query, Ping, Query] in one segment: three answers, the queries' in
+    // request order (the pong is written by the reader, so it may overtake).
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let segment = [query(1), encode(&Frame::control(FrameKind::Ping, 2)), query(3)].concat();
+    stream.write_all(&segment).expect("write");
+    let mut answers: Vec<(FrameKind, u64)> = (0..3)
+        .map(|_| recv_raw(&stream).expect("frame").expect("an answer"))
+        .map(|frame| (frame.kind, frame.request_id))
+        .collect();
+    let queries: Vec<u64> =
+        answers.iter().filter(|(kind, _)| *kind == FrameKind::QueryOk).map(|a| a.1).collect();
+    assert_eq!(queries, vec![1, 3]);
+    answers.sort_by_key(|answer| answer.1);
+    assert_eq!(answers[1], (FrameKind::Pong, 2));
+
+    // A query and the first half of the next: the first is answered while
+    // the server waits for the rest, which is not sent until it has been.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let second = query(5);
+    let (head, tail) = second.split_at(second.len() / 2);
+    stream.write_all(&[&query(4)[..], head].concat()).expect("write");
+    let first = recv_raw(&stream).expect("frame").expect("answered before the rest is sent");
+    assert_eq!((first.kind, first.request_id), (FrameKind::QueryOk, 4));
+    stream.write_all(tail).expect("write the rest");
+    let rest = recv_raw(&stream).expect("frame").expect("an answer");
+    assert_eq!((rest.kind, rest.request_id), (FrameKind::QueryOk, 5));
+}
+
 /// Slow-loris defense: a client that connects and sends nothing must be
 /// reaped by the socket read timeout — `acq_timeouts` increments, the idle
 /// socket sees EOF, and the server keeps serving everyone else.
