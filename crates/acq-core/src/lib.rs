@@ -50,7 +50,7 @@ pub use algorithms::basic::{basic_g, basic_w};
 pub use algorithms::dec::{dec, dec_with_miner};
 pub use algorithms::incremental::{inc_s, inc_t};
 pub use engine::AcqAlgorithm;
-pub use owned::{Engine, EngineBuilder, DEFAULT_REBUILD_THRESHOLD};
+pub use owned::{Engine, EngineBuilder};
 pub use query::{AcqQuery, AcqResult, AttributedCommunity, QueryError, QueryStats};
 pub use request::{ExecutionMeta, Executor, QuerySpec, Request, Response};
 pub use serving::{ServingEngine, WriteError, WriteToken};

@@ -11,21 +11,20 @@
 //! mutually consistent snapshot while updates publish the next generation off
 //! to the side:
 //!
-//! * [`Engine::apply_updates`] takes a batch of [`GraphDelta`]s, applies them
-//!   to a staged copy of the graph with incremental CSR/bitmap edits, routes
-//!   edge deltas through the subcore maintenance kernels
-//!   (`acq_kcore::maintenance` via `acq_cltree::maintenance`), batches
-//!   keyword deltas through the inverted-list updates, and falls back to a
-//!   full `build_advanced` rebuild when the touched-subcore fraction crosses
-//!   the configurable [`rebuild_threshold`](EngineBuilder::rebuild_threshold).
-//! * [`Engine::swap_index`] publishes an externally built index for the
-//!   current graph (generation bump), and in-flight queries always finish on
-//!   the snapshot they started with.
+//! [`Engine::apply_updates`] — the only writer — takes a batch of
+//! [`GraphDelta`]s, applies them to a staged copy of the graph with
+//! incremental CSR/bitmap edits, runs each edge delta through the subcore
+//! maintenance kernel (`acq_kcore::maintenance` via
+//! `acq_cltree::maintenance`) and each keyword or vertex delta through its
+//! local index edit, and then decides **once**, after the last delta, what
+//! the batch owes the index: nothing, one skeleton rebuild, or one
+//! from-scratch build. In-flight queries always finish on the snapshot they
+//! started with.
 
 use crate::exec::pool;
 use crate::query::QueryError;
 use crate::request::{execute_on, Executor, Request, Response};
-use acq_cltree::{build_advanced, maintenance, ClTree};
+use acq_cltree::{build_advanced, maintenance, ClTree, MaintenanceReport};
 use acq_graph::{AppliedDelta, AttributedGraph, GraphDelta, GraphError};
 use acq_metrics::serving::{UpdateReport, UpdateStrategy};
 use acq_sync::sync::{Arc, Mutex, RwLock};
@@ -63,21 +62,15 @@ struct GraphGeneration {
 #[derive(Debug)]
 pub struct Engine {
     current: RwLock<Arc<GraphGeneration>>,
-    /// Serialises writers ([`apply_updates`](Self::apply_updates) /
-    /// [`swap_index`](Self::swap_index) / [`rebuild_index`](Self::rebuild_index))
-    /// so concurrent updates cannot stage against the same base generation
-    /// and silently lose each other's deltas. Readers never take it.
+    /// Serialises [`apply_updates`](Self::apply_updates) calls so concurrent
+    /// updates cannot stage against the same base generation and silently
+    /// lose each other's deltas. Readers never take it.
     update_lock: Mutex<()>,
     threads: usize,
     /// The host's core count, resolved once at build: asking the OS re-reads
     /// the cgroup files, which a batch of one query would pay every time.
     cores: usize,
-    rebuild_threshold: f64,
 }
-
-/// Default [`EngineBuilder::rebuild_threshold`]: fall back to a full rebuild
-/// once the incremental kernels have touched a quarter of the graph.
-pub const DEFAULT_REBUILD_THRESHOLD: f64 = 0.25;
 
 /// Configures and builds an [`Engine`].
 #[derive(Debug)]
@@ -85,7 +78,6 @@ pub struct EngineBuilder {
     graph: Arc<AttributedGraph>,
     index: Option<Arc<ClTree>>,
     threads: usize,
-    rebuild_threshold: f64,
 }
 
 impl EngineBuilder {
@@ -106,24 +98,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the touched-subcore fraction at which
-    /// [`Engine::apply_updates`] abandons incremental maintenance and
-    /// rebuilds the index from scratch. The check runs *before* each edge
-    /// kernel, so `<= 0.0` forces a full rebuild on any edge delta and
-    /// `> 1.0` effectively disables the fallback. Defaults to
-    /// [`DEFAULT_REBUILD_THRESHOLD`].
-    ///
-    /// Cost model: an edge kernel costs `O(edges of the touched subcore)`
-    /// and a skeleton rebuild `O(m·α(n))`; once the summed subcores approach
-    /// a constant fraction of the graph, one `O(n + m)` `build_advanced` is
-    /// cheaper than continuing to cascade (see `ARCHITECTURE.md`, "Update
-    /// pipeline").
-    #[must_use]
-    pub fn rebuild_threshold(mut self, fraction: f64) -> Self {
-        self.rebuild_threshold = fraction;
-        self
-    }
-
     /// Builds the engine, constructing the CL-tree (`advanced` builder,
     /// inverted lists enabled) if no index was supplied.
     pub fn build(self) -> Engine {
@@ -134,7 +108,6 @@ impl EngineBuilder {
             update_lock: Mutex::new(()),
             threads: self.threads,
             cores: pool::available_cores(),
-            rebuild_threshold: self.rebuild_threshold,
         }
     }
 }
@@ -142,16 +115,11 @@ impl EngineBuilder {
 impl Engine {
     /// Starts configuring an engine for `graph`.
     pub fn builder(graph: Arc<AttributedGraph>) -> EngineBuilder {
-        EngineBuilder {
-            graph,
-            index: None,
-            threads: 0,
-            rebuild_threshold: DEFAULT_REBUILD_THRESHOLD,
-        }
+        EngineBuilder { graph, index: None, threads: 0 }
     }
 
     /// An engine with all defaults: freshly built index, one batch worker
-    /// per core, default rebuild threshold.
+    /// per core.
     pub fn new(graph: Arc<AttributedGraph>) -> Self {
         Self::builder(graph).build()
     }
@@ -164,75 +132,40 @@ impl Engine {
     }
 
     /// A snapshot of the currently published index. Queries already running
-    /// keep the snapshot they started with even if a swap happens next.
+    /// keep the snapshot they started with even if an update publishes next.
     pub fn index(&self) -> Arc<ClTree> {
         Arc::clone(&self.snapshot().index)
     }
 
     /// The generation number of the currently published generation (starts
-    /// at 1, incremented by every [`swap_index`](Self::swap_index) /
-    /// [`apply_updates`](Self::apply_updates)).
+    /// at 1, incremented by every [`apply_updates`](Self::apply_updates)).
     pub fn generation(&self) -> u64 {
         self.snapshot().number
-    }
-
-    /// Atomically publishes `index` (built for the **current** graph) as the
-    /// new generation and returns its generation number.
-    ///
-    /// In-flight queries are **not** interrupted: each query snapshots the
-    /// generation handle when it starts and finishes on that snapshot, while
-    /// new queries pick up the new index. The write lock is held only for the
-    /// pointer swap — never across a query — so publishing does not block
-    /// concurrent [`execute`](Executor::execute) calls for more than a
-    /// pointer copy. The new generation keeps the current graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` was built for a graph with a different vertex count
-    /// than the engine's current graph — the graph can advance underneath an
-    /// externally built index via [`apply_updates`](Self::apply_updates), so
-    /// build the index from [`Engine::graph`](Self::graph) and coordinate
-    /// swaps with updates (a cheap guard; same-count structural divergence
-    /// remains the caller's contract).
-    pub fn swap_index(&self, index: Arc<ClTree>) -> u64 {
-        let _writer = self.update_lock.lock().expect("engine update lock poisoned");
-        let graph = self.graph();
-        assert_eq!(
-            index.decomposition().len(),
-            graph.num_vertices(),
-            "swap_index: index covers a different vertex count than the engine's current graph \
-             (did the graph advance via apply_updates since the index was built?)"
-        );
-        self.publish(graph, index)
-    }
-
-    /// Rebuilds the index from the engine's current graph and publishes it —
-    /// a convenience wrapper over [`swap_index`](Self::swap_index). Returns
-    /// the new generation number.
-    pub fn rebuild_index(&self) -> u64 {
-        let _writer = self.update_lock.lock().expect("engine update lock poisoned");
-        let graph = self.graph();
-        let index = Arc::new(build_advanced(&graph, true));
-        self.publish(graph, index)
     }
 
     /// Applies a batch of [`GraphDelta`]s and publishes the updated
     /// generation: graph and maintained index, in one atomic swap. Queries
     /// running concurrently finish on their old snapshot; queries arriving
-    /// after the swap see the new graph.
+    /// after the swap see the new graph. The write lock is held only for the
+    /// pointer swap — never across a query.
     ///
-    /// Maintenance routing, per applied delta:
+    /// Per applied delta, in batch order:
     ///
-    /// * **edge insert/remove** — the traversal subcore kernels update the
-    ///   core decomposition in place; the CL-tree keeps its skeleton when the
-    ///   delta provably changed no ĉore (cheap clone), else rebuilds it from
-    ///   the maintained decomposition. Once the cumulative touched-subcore
-    ///   fraction crosses [`rebuild_threshold`](EngineBuilder::rebuild_threshold),
-    ///   remaining kernels are skipped and one full `build_advanced` runs at
-    ///   the end.
-    /// * **keyword add/remove** — one inverted-list edit on the owning node.
+    /// * **edge insert/remove** — the traversal subcore kernel updates the
+    ///   staged core decomposition in place and reports whether the CL-tree
+    ///   skeleton still describes the graph;
+    /// * **keyword add/remove** — one inverted-list edit on the owning node;
     /// * **vertex insert** — the isolated vertex joins the root node in
     ///   place (stable node ids).
+    ///
+    /// Then, **once**, the plan for the whole batch ([`UpdateStrategy`]):
+    /// nothing if every edge kept the skeleton; one skeleton rebuild from the
+    /// maintained decomposition if any did not; or one from-scratch
+    /// `build_advanced` if the kernels had already examined as many vertices
+    /// as a from-scratch decomposition would (`subcore_touched ≥ n`) with
+    /// edge deltas still to go — those then skip their kernels. Either
+    /// rebuild reads the final staged graph, so deltas that follow a
+    /// skeleton-changing edge reach the published index too.
     ///
     /// On an `Err` (invalid delta) nothing is published and the engine is
     /// unchanged. Errors are detected per delta *before* that delta mutates
@@ -250,7 +183,7 @@ impl Engine {
     /// every shard must intern **all** terms of the batch — in batch scan
     /// order — before applying its own slice. Interning an already-known
     /// term is a no-op, so passing extra terms never changes ids.
-    pub fn apply_updates_interning(
+    pub(crate) fn apply_updates_interning(
         &self,
         terms: &[&str],
         deltas: &[GraphDelta],
@@ -261,58 +194,55 @@ impl Engine {
         for term in terms {
             graph.intern_keyword(term);
         }
-        let mut tree = (*base.index).clone();
         let n0 = base.graph.num_vertices().max(1);
-
+        // `None` once the kernels have examined `n0` vertices: the staged
+        // tree is dropped and the remaining deltas only reach the graph.
+        let mut staged = Some((*base.index).clone());
+        let mut steps = MaintenanceReport::default();
         let mut deltas_applied = 0usize;
-        let mut touched = 0usize;
-        let mut skeleton_stable = true;
-        let mut full_rebuild = false;
 
         for delta in deltas {
             let applied = graph.apply_deltas_in_place(std::slice::from_ref(delta))?;
             deltas_applied += applied.len();
             for record in applied {
+                let Some(tree) = staged.as_mut() else { continue };
                 match record {
-                    // Once the threshold trips the tree is discarded, so the
-                    // remaining deltas only need to reach the graph.
-                    _ if full_rebuild => {}
-                    AppliedDelta::EdgeInserted(u, v) | AppliedDelta::EdgeRemoved(u, v) => {
-                        if touched as f64 >= self.rebuild_threshold * n0 as f64 {
-                            full_rebuild = true;
-                            continue;
-                        }
-                        let inserted = matches!(record, AppliedDelta::EdgeInserted(..));
-                        let report = if inserted {
-                            maintenance::apply_edge_insertion_in_place(&mut tree, &graph, u, v)
-                        } else {
-                            maintenance::apply_edge_removal_in_place(&mut tree, &graph, u, v)
-                        };
-                        touched += report.subcore_size;
-                        skeleton_stable &= !report.skeleton_rebuilt;
+                    AppliedDelta::EdgeInserted(..) | AppliedDelta::EdgeRemoved(..)
+                        if steps.subcore_size >= n0 =>
+                    {
+                        staged = None;
+                    }
+                    AppliedDelta::EdgeInserted(u, v) => {
+                        maintenance::step_edge_insertion(tree, &graph, u, v, &mut steps);
+                    }
+                    AppliedDelta::EdgeRemoved(u, v) => {
+                        maintenance::step_edge_removal(tree, &graph, u, v, &mut steps);
                     }
                     AppliedDelta::KeywordAdded(v, kw) => {
-                        maintenance::apply_keyword_insertion(&mut tree, v, kw);
+                        maintenance::apply_keyword_insertion(tree, v, kw);
                     }
                     AppliedDelta::KeywordRemoved(v, kw) => {
-                        maintenance::apply_keyword_removal(&mut tree, v, kw);
+                        maintenance::apply_keyword_removal(tree, v, kw);
                     }
                     AppliedDelta::VertexInserted(v) => {
-                        maintenance::apply_vertex_insertion(&mut tree, &graph, v);
+                        maintenance::apply_vertex_insertion(tree, &graph, v);
                     }
                 }
             }
         }
 
-        let strategy = if full_rebuild {
+        let (tree, strategy) = match staged {
             // Preserve the engine's inverted-list configuration: an ablation
             // engine built without lists must not gain them on a rebuild.
-            tree = build_advanced(&graph, tree.has_inverted_lists());
-            UpdateStrategy::FullRebuild
-        } else if skeleton_stable {
-            UpdateStrategy::IncrementalStableSkeleton
-        } else {
-            UpdateStrategy::IncrementalRebuiltSkeleton
+            None => (
+                build_advanced(&graph, base.index.has_inverted_lists()),
+                UpdateStrategy::FullRebuild,
+            ),
+            Some(mut tree) if steps.skeleton_changed => {
+                maintenance::rebuild_skeleton(&mut tree, &graph);
+                (tree, UpdateStrategy::IncrementalRebuiltSkeleton)
+            }
+            Some(tree) => (tree, UpdateStrategy::IncrementalStableSkeleton),
         };
 
         let generation = self.publish(Arc::new(graph), Arc::new(tree));
@@ -320,8 +250,8 @@ impl Engine {
             generation,
             deltas_applied,
             strategy,
-            subcore_touched: touched,
-            touched_fraction: touched as f64 / n0 as f64,
+            subcore_touched: steps.subcore_size,
+            touched_fraction: steps.subcore_size as f64 / n0 as f64,
             cache_carried: 0,
             cache_dropped: 0,
         })
@@ -349,9 +279,8 @@ impl Executor for Engine {
 
     /// Fans the batch out over the configured worker pool, answering **in
     /// input order**. The whole batch runs against one generation snapshot,
-    /// so a concurrent [`swap_index`](Engine::swap_index) or
-    /// [`apply_updates`](Engine::apply_updates) never splits a batch across
-    /// generations (or across graphs).
+    /// so a concurrent [`apply_updates`](Engine::apply_updates) never splits
+    /// a batch across generations (or across graphs).
     fn execute_batch(&self, requests: &[Request]) -> Vec<Result<Response, QueryError>> {
         let generation = self.snapshot();
         let workers = pool::effective_threads(self.threads, self.cores, requests.len());
@@ -449,7 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn swap_index_bumps_the_generation() {
+    fn an_empty_batch_still_publishes_a_generation() {
         let (graph, engine) = figure3_engine();
         let a = graph.vertex_by_label("A").unwrap();
         let request = Request::community(a).k(2);
@@ -457,8 +386,9 @@ mod tests {
         let before = engine.execute(&request).unwrap();
         assert_eq!(before.meta.generation, 1);
 
-        let generation = engine.rebuild_index();
-        assert_eq!(generation, 2);
+        let report = engine.apply_updates(&[]).unwrap();
+        assert_eq!(report.generation, 2);
+        assert_eq!(report.strategy, UpdateStrategy::IncrementalStableSkeleton);
         assert_eq!(engine.generation(), 2);
 
         let after = engine.execute(&request).unwrap();
@@ -517,27 +447,85 @@ mod tests {
         assert_eq!(after.result, fresh.result);
     }
 
-    #[test]
-    fn apply_updates_threshold_forces_full_rebuild() {
-        let (graph, engine_default) = figure3_engine();
-        let engine = Engine::builder(Arc::clone(&graph)).rebuild_threshold(0.0).build();
-        let h = graph.vertex_by_label("H").unwrap();
-        let f = graph.vertex_by_label("F").unwrap();
-        let report = engine.apply_updates(&[GraphDelta::insert_edge(h, f)]).unwrap();
-        assert_eq!(report.strategy, UpdateStrategy::FullRebuild);
-        assert_eq!(report.subcore_touched, 0, "threshold 0 skips the kernels entirely");
-
-        // Same answers as the incremental path on the same deltas.
-        engine_default.apply_updates(&[GraphDelta::insert_edge(h, f)]).unwrap();
-        for v in ["H", "F", "A"] {
-            let q = graph.vertex_by_label(v).unwrap();
-            let request = Request::community(q).k(2);
-            assert_eq!(
-                engine.execute(&request).unwrap().result,
-                engine_default.execute(&request).unwrap().result,
-                "rebuild and incremental must agree on {v}"
-            );
+    /// Every (vertex, k) ACQ answer plus one query per vertex restricted to
+    /// `keyword`, compared against a from-scratch engine on the live graph.
+    fn assert_equals_fresh_engine(engine: &Engine, keyword: Option<&str>) {
+        let graph = engine.graph();
+        let fresh = Engine::new(Arc::clone(&graph));
+        let keyword = keyword.map(|term| graph.dictionary().get(term).expect("known keyword"));
+        for v in graph.vertices() {
+            for k in 1..=3 {
+                let mut requests = vec![Request::community(v).k(k)];
+                requests.extend(keyword.map(|kw| Request::community(v).k(k).keywords([kw])));
+                for request in requests {
+                    assert_eq!(
+                        engine.execute(&request).map(|r| r.result),
+                        fresh.execute(&request).map(|r| r.result),
+                        "{request:?}"
+                    );
+                }
+            }
         }
+        assert_eq!(engine.index().canonical_form(), fresh.index().canonical_form());
+        engine.index().validate(&graph).unwrap();
+    }
+
+    #[test]
+    fn deltas_after_a_skeleton_changing_edge_reach_the_published_index() {
+        let (graph, engine) = figure3_engine();
+        let f = graph.vertex_by_label("F").unwrap();
+        let h = graph.vertex_by_label("H").unwrap();
+        let k = VertexId(10);
+        let report = engine
+            .apply_updates(&[
+                GraphDelta::insert_edge(f, h), // merges two 1-ĉores: skeleton changes
+                GraphDelta::add_keyword(h, "music"),
+                GraphDelta::insert_vertex(Some("K"), &["music"]),
+                GraphDelta::insert_edge(k, h),
+            ])
+            .unwrap();
+        assert_eq!(report.deltas_applied, 4);
+        assert_eq!(report.strategy, UpdateStrategy::IncrementalRebuiltSkeleton);
+        assert_equals_fresh_engine(&engine, Some("music"));
+
+        // K and H share `music` in a connected 1-core, through the index.
+        let updated = engine.graph();
+        let music = updated.dictionary().get("music").unwrap();
+        let response = engine.execute(&Request::community(k).k(1).keywords([music])).unwrap();
+        assert_eq!(response.communities()[0].member_names(&updated), vec!["H", "K"]);
+    }
+
+    #[test]
+    fn a_batch_whose_kernels_examine_n_vertices_finishes_with_one_full_build() {
+        // Toggling A–B moves the whole 3-ĉore {A, B, C, D} down to core 2 and
+        // back: 4–5 vertices examined per delta, so the 10-vertex budget is
+        // spent before the batch is.
+        let (graph, engine) = figure3_engine();
+        let n = graph.num_vertices();
+        let a = graph.vertex_by_label("A").unwrap();
+        let b = graph.vertex_by_label("B").unwrap();
+        let f = graph.vertex_by_label("F").unwrap();
+        let h = graph.vertex_by_label("H").unwrap();
+        let mut deltas = Vec::new();
+        for _ in 0..3 {
+            deltas.push(GraphDelta::remove_edge(a, b));
+            deltas.push(GraphDelta::insert_edge(a, b));
+        }
+        deltas.push(GraphDelta::insert_edge(f, h));
+        deltas.push(GraphDelta::add_keyword(h, "music"));
+        let report = engine.apply_updates(&deltas).unwrap();
+        assert_eq!(report.strategy, UpdateStrategy::FullRebuild);
+        assert!(report.subcore_touched >= n, "{} < {n}", report.subcore_touched);
+        assert_eq!(report.deltas_applied, deltas.len());
+        assert!(engine.graph().has_edge(f, h), "deltas past the budget still reach the graph");
+        assert_equals_fresh_engine(&engine, Some("music"));
+
+        // The same toggles cut short of the budget stay incremental.
+        let (_, short) = figure3_engine();
+        let report = short.apply_updates(&deltas[..2]).unwrap();
+        assert_eq!(report.strategy, UpdateStrategy::IncrementalRebuiltSkeleton);
+        assert!(report.subcore_touched < n);
+        assert_equals_fresh_engine(&short, None);
     }
 
     #[test]

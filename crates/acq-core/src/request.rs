@@ -194,8 +194,8 @@ impl Request {
 pub struct ExecutionMeta {
     /// The paper name of the algorithm that ran (`"Dec"`, `"SW"`, `"SWT"`, …).
     pub algorithm: String,
-    /// The index generation the query ran against (see
-    /// [`Engine::swap_index`](crate::Engine::swap_index)).
+    /// The generation the query ran against (see
+    /// [`Engine::apply_updates`](crate::Engine::apply_updates)).
     pub generation: u64,
     /// Wire-v1 field: reserved, always 0, removed with the protocol-version
     /// bump.

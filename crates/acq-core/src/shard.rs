@@ -35,7 +35,7 @@
 //! span shards, so the edge cannot exist — a no-op, counted exactly like the
 //! single-engine no-op path). Keyword terms the batch interns are broadcast
 //! to **every** shard in batch scan order
-//! ([`Engine::apply_updates_interning`]), so a `KeywordId` keeps meaning the
+//! (`Engine::apply_updates_interning`), so a `KeywordId` keeps meaning the
 //! same term on every shard as on the mirror. A cross-shard edge *insertion*
 //! merges two components and falls back to a repartition: the component
 //! packing is recomputed from the updated mirror and every shard engine is
@@ -53,7 +53,7 @@
 //! single-engine racing query has, relaxed to per-shard granularity.
 //! Sequential callers always observe consistent stamps.
 
-use crate::owned::{Engine, DEFAULT_REBUILD_THRESHOLD};
+use crate::owned::Engine;
 use crate::query::QueryError;
 use crate::request::{Executor, Request, Response};
 use crate::serving::{ServingEngine, WriteError, WriteToken};
@@ -81,7 +81,6 @@ pub struct ShardedEngineBuilder {
     graph: Arc<AttributedGraph>,
     num_shards: usize,
     threads: usize,
-    rebuild_threshold: f64,
 }
 
 impl ShardedEngineBuilder {
@@ -104,15 +103,6 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Sets each shard engine's touched-subcore rebuild threshold (see
-    /// [`EngineBuilder::rebuild_threshold`](crate::EngineBuilder::rebuild_threshold);
-    /// the fraction is relative to the **shard's** vertex count).
-    #[must_use]
-    pub fn rebuild_threshold(mut self, fraction: f64) -> Self {
-        self.rebuild_threshold = fraction;
-        self
-    }
-
     /// Builds the sharded engine: partitions the graph by components and
     /// constructs one engine (graph, CL-tree) per shard.
     pub fn build(self) -> ShardedEngine {
@@ -122,8 +112,7 @@ impl ShardedEngineBuilder {
             self.num_shards
         };
         let partition = GraphPartition::by_components(&self.graph, num_shards);
-        let engines =
-            build_shard_engines(&self.graph, &partition, self.threads, self.rebuild_threshold);
+        let engines = build_shard_engines(&self.graph, &partition, self.threads);
         ShardedEngine {
             state: RwLock::new(Arc::new(ShardState {
                 mirror: self.graph,
@@ -133,7 +122,6 @@ impl ShardedEngineBuilder {
             })),
             update_lock: Mutex::new(()),
             threads: self.threads,
-            rebuild_threshold: self.rebuild_threshold,
         }
     }
 }
@@ -143,17 +131,11 @@ fn build_shard_engines(
     mirror: &Arc<AttributedGraph>,
     partition: &GraphPartition,
     threads: usize,
-    rebuild_threshold: f64,
 ) -> Vec<Arc<Engine>> {
     (0..partition.num_shards())
         .map(|shard| {
             let subgraph = Arc::new(partition.extract_shard(mirror, shard));
-            Arc::new(
-                Engine::builder(subgraph)
-                    .threads(threads)
-                    .rebuild_threshold(rebuild_threshold)
-                    .build(),
-            )
+            Arc::new(Engine::builder(subgraph).threads(threads).build())
         })
         .collect()
 }
@@ -181,18 +163,12 @@ pub struct ShardedEngine {
     /// same mirror and silently lose each other's deltas.
     update_lock: Mutex<()>,
     threads: usize,
-    rebuild_threshold: f64,
 }
 
 impl ShardedEngine {
     /// Starts configuring a sharded engine for `graph`.
     pub fn builder(graph: Arc<AttributedGraph>) -> ShardedEngineBuilder {
-        ShardedEngineBuilder {
-            graph,
-            num_shards: 0,
-            threads: 1,
-            rebuild_threshold: DEFAULT_REBUILD_THRESHOLD,
-        }
+        ShardedEngineBuilder { graph, num_shards: 0, threads: 1 }
     }
 
     /// A sharded engine with `num_shards` shards and all other knobs at
@@ -325,8 +301,7 @@ impl ShardedEngine {
             // engine from its new induced subgraph, published as one atomic
             // state swap (in-flight queries finish on the old engines).
             let partition = GraphPartition::by_components(&mirror, num_shards);
-            let engines =
-                build_shard_engines(&mirror, &partition, self.threads, self.rebuild_threshold);
+            let engines = build_shard_engines(&mirror, &partition, self.threads);
             let generation = state.generation + 1;
             self.publish(ShardState { mirror, partition, engines, generation });
             return Ok(UpdateReport {

@@ -6,7 +6,7 @@
 //! clusters are computed once; answering a community-search query amounts to
 //! looking up the cluster that contains the query vertex.
 //!
-//! Substitution note (see DESIGN.md): the original system uses kNN content
+//! Substitution note: the original system uses kNN content
 //! edges over TF-IDF vectors plus a spectral / multi-level partitioner. Here
 //! the content edges come from Jaccard similarity over the interned keyword
 //! sets (candidates restricted to the 2-hop neighbourhood, as CODICIL's

@@ -13,9 +13,9 @@
 //!   (Ruan et al., WWW 2013): content edges are added between keyword-similar
 //!   vertices, then the augmented graph is partitioned into a user-chosen
 //!   number of clusters. The cluster containing the query vertex is returned
-//!   at query time. This is the substitution documented in DESIGN.md: same
-//!   interface and same qualitative behaviour (no minimum-degree guarantee,
-//!   cluster-count sensitivity), not the authors' exact code.
+//!   at query time. This is a substitution (see the [`codicil`] module
+//!   docs): same interface and same qualitative behaviour (no minimum-degree
+//!   guarantee, cluster-count sensitivity), not the authors' exact code.
 //! * [`gpm`] — star-pattern graph-pattern-matching queries (`Star-a`), used by
 //!   the paper's Table 7 to show that GPM is a poor fit for community search.
 

@@ -1,29 +1,27 @@
-//! Delta-apply vs full-rebuild latency for the live-update pipeline
-//! (`Engine::apply_updates`), across delta-batch sizes.
+//! Live-update latency (`Engine::apply_updates`) against what the paper
+//! compares index maintenance with — applying the deltas to the graph and
+//! building the CL-tree from scratch — across delta-batch sizes.
 //!
 //! Three arms per batch size:
 //!
-//! * `incremental` — an unreachable `rebuild_threshold`: every edge delta
-//!   goes through
-//!   the traversal subcore kernels; the CL-tree short-circuits to a clone
-//!   when the skeleton is provably unchanged, else rebuilds the skeleton
-//!   from the maintained decomposition;
-//! * `full-rebuild` — `rebuild_threshold(-1.0)`: the kernels are skipped and
-//!   the index is rebuilt from scratch with `build_advanced` (the historical
-//!   behaviour of the update path);
+//! * `apply-updates` — `Engine::apply_updates`: stage the graph, run every
+//!   edge delta through the traversal subcore kernels, then at most one
+//!   skeleton rebuild (or one full build) for the whole batch, and publish;
+//! * `from-scratch` — `AttributedGraph::apply_deltas` + `build_advanced`;
 //! * `graph-deltas-only` — `AttributedGraph::apply_deltas` alone, isolating
 //!   the incremental CSR/bitmap maintenance from index work.
 //!
-//! Before timing, every batch is **asserted equivalent**: the incremental
-//! and full-rebuild engines must produce identical query results on the
-//! updated graph, so the CI smoke run fails on maintenance regressions
-//! instead of letting them rot. Set `BENCH_QUICK=1` for the CI smoke
-//! configuration; `BENCH_JSONL=<file>` appends machine-readable results
+//! Before timing, every batch is **asserted equivalent**: the engine that
+//! consumed the batch and an engine over the from-scratch index must produce
+//! identical query results, so the CI smoke run fails on maintenance
+//! regressions instead of letting them rot. Set `BENCH_QUICK=1` for the CI
+//! smoke configuration; `BENCH_JSONL=<file>` appends machine-readable results
 //! (see `BENCH_maintenance.json` at the repository root for the baseline).
 
 use acq_bench::{default_fixture, fixture, BenchFixture};
+use acq_cltree::{build_advanced, ClTree};
 use acq_core::{Engine, Executor, Request, UpdateStrategy};
-use acq_graph::{GraphDelta, VertexId};
+use acq_graph::{AttributedGraph, GraphDelta, VertexId};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 
@@ -75,63 +73,63 @@ fn delta_batch(fx: &BenchFixture, size: usize, salt: u64) -> Vec<GraphDelta> {
     deltas
 }
 
-/// An engine over the fixture's shared graph+index with the given rebuild
-/// threshold.
-fn engine(fx: &BenchFixture, threshold: f64) -> Engine {
-    Engine::builder(Arc::clone(&fx.graph))
-        .index(Arc::clone(&fx.index))
-        .threads(1)
-        .rebuild_threshold(threshold)
-        .build()
+/// A single-threaded engine over the fixture's shared graph+index.
+fn engine(fx: &BenchFixture) -> Engine {
+    Engine::builder(Arc::clone(&fx.graph)).index(Arc::clone(&fx.index)).threads(1).build()
 }
 
-/// Equivalence gate: both maintenance policies answer the fixture workload
-/// identically after consuming `deltas`.
-fn assert_policies_agree(fx: &BenchFixture, deltas: &[GraphDelta]) {
-    let incremental = engine(fx, f64::INFINITY);
-    let rebuild = engine(fx, -1.0);
-    let a = incremental.apply_updates(deltas).expect("valid deltas");
-    let b = rebuild.apply_updates(deltas).expect("valid deltas");
-    assert_ne!(
-        a.strategy,
-        UpdateStrategy::FullRebuild,
-        "an unreachable threshold must stay incremental"
-    );
-    assert_eq!(b.strategy, UpdateStrategy::FullRebuild, "threshold -1.0 must force rebuild");
+/// The comparison arm: the updated graph and its index, built from scratch.
+fn from_scratch(fx: &BenchFixture, deltas: &[GraphDelta]) -> (AttributedGraph, ClTree) {
+    let graph = fx.graph.apply_deltas(deltas).expect("valid deltas");
+    let index = build_advanced(&graph, true);
+    (graph, index)
+}
+
+/// Equivalence gate: the engine that consumed `deltas` answers the fixture
+/// workload exactly like an engine over the from-scratch index. Returns the
+/// update's strategy.
+fn assert_equals_from_scratch(fx: &BenchFixture, deltas: &[GraphDelta]) -> UpdateStrategy {
+    let live = engine(fx);
+    let report = live.apply_updates(deltas).expect("valid deltas");
+    let (graph, index) = from_scratch(fx, deltas);
+    let fresh = Engine::builder(Arc::new(graph)).index(Arc::new(index)).threads(1).build();
     for &q in &fx.queries {
         for request in [Request::community(q).k(4), Request::community(q).k(6)] {
             assert_eq!(
-                incremental.execute(&request).expect("valid").result,
-                rebuild.execute(&request).expect("valid").result,
-                "incremental and rebuild diverged on {q:?}"
+                live.execute(&request).expect("valid").result,
+                fresh.execute(&request).expect("valid").result,
+                "apply_updates and a from-scratch build diverged on {q:?}"
             );
         }
     }
+    report.strategy
+}
+
+/// The timed arms shared by every group. The stand-in harness calls each
+/// body once per sample, so every timed `apply_updates` runs on a fresh
+/// engine (built outside `b.iter`) and really applies the batch.
+fn bench_arms(c: &mut Criterion, group: String, fx: &BenchFixture, deltas: &[GraphDelta]) {
+    let mut group = c.benchmark_group(group);
+    group.sample_size(if quick() { 2 } else { 15 });
+    group.bench_function("apply-updates", |b| {
+        let e = engine(fx);
+        b.iter(|| std::hint::black_box(e.apply_updates(deltas).expect("valid")))
+    });
+    group.bench_function("from-scratch", |b| {
+        b.iter(|| std::hint::black_box(from_scratch(fx, deltas)))
+    });
+    group.bench_function("graph-deltas-only", |b| {
+        b.iter(|| std::hint::black_box(fx.graph.apply_deltas(deltas).expect("valid")))
+    });
+    group.finish();
 }
 
 fn bench_apply_updates(c: &mut Criterion) {
     let fx = bench_fixture();
     for size in batch_sizes() {
         let deltas = delta_batch(&fx, size, size as u64);
-        assert_policies_agree(&fx, &deltas);
-
-        let mut group = c.benchmark_group(format!("maintenance/batch={size}"));
-        group.sample_size(if quick() { 2 } else { 15 });
-        // Engine construction happens outside `b.iter`, so only the
-        // apply_updates call (stage + maintain + publish) is timed; each
-        // sample gets a fresh engine so every timed call applies the batch.
-        group.bench_function("incremental", |b| {
-            let e = engine(&fx, f64::INFINITY);
-            b.iter(|| std::hint::black_box(e.apply_updates(&deltas).expect("valid")))
-        });
-        group.bench_function("full-rebuild", |b| {
-            let e = engine(&fx, -1.0);
-            b.iter(|| std::hint::black_box(e.apply_updates(&deltas).expect("valid")))
-        });
-        group.bench_function("graph-deltas-only", |b| {
-            b.iter(|| std::hint::black_box(fx.graph.apply_deltas(&deltas).expect("valid")))
-        });
-        group.finish();
+        assert_equals_from_scratch(&fx, &deltas);
+        bench_arms(c, format!("maintenance/batch={size}"), &fx, &deltas);
     }
 }
 
@@ -150,7 +148,7 @@ fn internal_edge_delta(fx: &BenchFixture) -> Option<GraphDelta> {
                 }
                 let g2 = fx.graph.with_edge_inserted(u, v).expect("valid edge");
                 let (_, report) = apply_edge_insertion_with_report(&fx.index, &g2, u, v);
-                if !report.skeleton_rebuilt {
+                if !report.skeleton_changed {
                     return Some(GraphDelta::insert_edge(u, v));
                 }
             }
@@ -166,27 +164,12 @@ fn bench_single_internal_edge(c: &mut Criterion) {
         return;
     };
     let deltas = vec![delta];
-    assert_policies_agree(&fx, &deltas);
-    {
-        let e = engine(&fx, f64::INFINITY);
-        let report = e.apply_updates(&deltas).expect("valid");
-        assert_eq!(
-            report.strategy,
-            UpdateStrategy::IncrementalStableSkeleton,
-            "the probed edge must keep the skeleton"
-        );
-    }
-    let mut group = c.benchmark_group("maintenance/single-edge-internal");
-    group.sample_size(if quick() { 2 } else { 15 });
-    group.bench_function("incremental", |b| {
-        let e = engine(&fx, f64::INFINITY);
-        b.iter(|| std::hint::black_box(e.apply_updates(&deltas).expect("valid")))
-    });
-    group.bench_function("full-rebuild", |b| {
-        let e = engine(&fx, -1.0);
-        b.iter(|| std::hint::black_box(e.apply_updates(&deltas).expect("valid")))
-    });
-    group.finish();
+    assert_eq!(
+        assert_equals_from_scratch(&fx, &deltas),
+        UpdateStrategy::IncrementalStableSkeleton,
+        "the probed edge must keep the skeleton"
+    );
+    bench_arms(c, "maintenance/single-edge-internal".to_owned(), &fx, &deltas);
 }
 
 criterion_group!(benches, bench_apply_updates, bench_single_internal_edge);

@@ -117,14 +117,18 @@ mod proptests {
 
         #[test]
         fn edge_removal_maintenance_equals_rebuild(g in arb_graph()) {
-            let index = build_advanced(&g, true);
+            let mut index = build_advanced(&g, true);
             if let Some(u) = g.vertices().find(|&v| g.degree(v) > 0) {
                 let v = g.neighbors(u)[0];
                 let g2 = g.with_edge_removed(u, v).unwrap();
-                let maintained = maintenance::apply_edge_removal(&index, &g2, u, v);
-                prop_assert!(maintained.validate(&g2).is_ok(), "{:?}", maintained.validate(&g2));
+                let mut report = MaintenanceReport::default();
+                maintenance::step_edge_removal(&mut index, &g2, u, v, &mut report);
+                if report.skeleton_changed {
+                    maintenance::rebuild_skeleton(&mut index, &g2);
+                }
+                prop_assert!(index.validate(&g2).is_ok(), "{:?}", index.validate(&g2));
                 let rebuilt = build_advanced(&g2, true);
-                prop_assert_eq!(maintained.canonical_form(), rebuilt.canonical_form());
+                prop_assert_eq!(index.canonical_form(), rebuilt.canonical_form());
             }
         }
 
@@ -155,7 +159,8 @@ mod proptests {
                     let (u, v) = (VertexId::from_index(a), VertexId::from_index(b));
                     if !g.has_edge(u, v) {
                         let g2 = g.with_edge_inserted(u, v).unwrap();
-                        let maintained = maintenance::apply_edge_insertion(&index, &g2, u, v);
+                        let (maintained, _) =
+                            maintenance::apply_edge_insertion_with_report(&index, &g2, u, v);
                         prop_assert!(maintained.validate(&g2).is_ok(), "{:?}", maintained.validate(&g2));
                         let rebuilt = build_advanced(&g2, true);
                         prop_assert_eq!(maintained.canonical_form(), rebuilt.canonical_form());
@@ -163,6 +168,43 @@ mod proptests {
                     }
                 }
             }
+        }
+
+        /// The property the batch plan of `Engine::apply_updates` rests on: any
+        /// run of per-edge steps followed by **one** skeleton rebuild (none if
+        /// no step asked for it) equals a from-scratch build of the final graph.
+        #[test]
+        fn edge_toggles_with_one_rebuild_equal_build_advanced(
+            g in arb_graph(),
+            toggles in proptest::collection::vec((0u32..28, 0u32..28), 1..24),
+        ) {
+            let n = g.num_vertices() as u32;
+            let mut graph = g.clone();
+            let mut index = build_advanced(&g, true);
+            let mut report = MaintenanceReport::default();
+            for (a, b) in toggles {
+                let (u, v) = (VertexId(a % n), VertexId(b % n));
+                if u == v {
+                    continue;
+                }
+                if graph.has_edge(u, v) {
+                    graph = graph.with_edge_removed(u, v).unwrap();
+                    maintenance::step_edge_removal(&mut index, &graph, u, v, &mut report);
+                } else {
+                    graph = graph.with_edge_inserted(u, v).unwrap();
+                    maintenance::step_edge_insertion(&mut index, &graph, u, v, &mut report);
+                }
+            }
+            if report.skeleton_changed {
+                maintenance::rebuild_skeleton(&mut index, &graph);
+            }
+            prop_assert!(index.validate(&graph).is_ok(), "{:?}", index.validate(&graph));
+            let rebuilt = build_advanced(&graph, true);
+            prop_assert_eq!(index.canonical_form(), rebuilt.canonical_form());
+            prop_assert_eq!(
+                index.decomposition().core_numbers(),
+                rebuilt.decomposition().core_numbers()
+            );
         }
     }
 }

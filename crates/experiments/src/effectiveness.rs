@@ -260,8 +260,8 @@ mod tests {
         // The paper's qualitative claim: ACQ's CMF and CPJ exceed Global's
         // (and Local's at full scale), because ACQ actually uses the keywords.
         // The smoke-test graph is tiny, so only the Global comparison is
-        // statistically stable enough to assert here; the full-scale run in
-        // EXPERIMENTS.md covers Local as well.
+        // statistically stable enough to assert here; a full-scale run covers
+        // Local as well.
         assert!(value("ACQ", 2) >= value("Global", 2));
         assert!(value("ACQ", 3) >= value("Global", 3));
         assert!(value("ACQ", 2) + 0.15 >= value("Local", 2));

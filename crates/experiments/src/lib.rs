@@ -7,11 +7,11 @@
 //! Each experiment is identified by the paper artefact it reproduces
 //! (`fig7`, `fig13`, `table4`, …); [`run_experiment`] dispatches on that id
 //! and returns one or more [`ExperimentReport`]s, which the `acq-experiments`
-//! binary prints and which `EXPERIMENTS.md` records. The absolute numbers
-//! differ from the paper (different hardware, synthetic data, Rust instead of
-//! Java); the *shapes* — which method wins, how curves move with `k`, `|S|`,
-//! graph size — are the reproduction target. See DESIGN.md for the
-//! per-experiment index.
+//! binary prints. The absolute numbers differ from the paper (different
+//! hardware, synthetic data, Rust instead of Java); the *shapes* — which
+//! method wins, how curves move with `k`, `|S|`, graph size — are the
+//! reproduction target. `acq-experiments --help` lists every experiment id;
+//! `PAPER.md` ("Paper → code map") says where each reproduced concept lives.
 
 #![deny(missing_docs)]
 

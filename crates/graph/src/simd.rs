@@ -1,269 +1,85 @@
-//! Portable 4-wide SIMD kernels over `u64` word bitsets.
+//! Word-at-a-time kernels over `u64` word bitsets.
 //!
-//! The bitset kernels in this crate come in three tiers:
+//! The bitset kernels in this crate come in two tiers:
 //!
 //! 1. **Scalar** — per-element bit tests (e.g.
 //!    [`VertexSubset::degree_within_scalar`](crate::VertexSubset::degree_within_scalar)),
 //!    the semantic reference.
-//! 2. **Word** — one `u64` at a time (`*_word` functions here), the reference
-//!    tier for the SIMD kernels the way scalar backs word.
-//! 3. **SIMD** — the default: a portable 4-wide lane type ([`U64x4`]) built
-//!    from pure `std` (an array of four `u64` with `#[inline]` lane ops), so
-//!    the autovectorizer can lower the main loop to 256-bit vector
-//!    instructions where the target has them, with a word-wise remainder loop
-//!    for the trailing `len % 4` words.
+//! 2. **Word** — the default, the functions here: plain zipped loops over
+//!    whole `u64` words. Pure `std`, no `unsafe`, no lane type, no
+//!    target-feature detection: a zipped slice loop is exactly the shape LLVM
+//!    autovectorizes, so a hand-rolled lane grouping on top buys nothing.
 //!
-//! Every SIMD kernel is pinned against its word-tier twin (and the word tier
-//! against scalar semantics) by the lane-boundary proptests in the crate root,
-//! over universes that straddle both the 64-bit word boundary and the 256-bit
-//! lane-group boundary.
+//! The word tier is pinned against scalar semantics by the word-boundary
+//! proptests in this crate's root and in `acq-kcore`.
 
-/// Number of `u64` lanes processed per SIMD step.
-pub const LANES: usize = 4;
-
-/// A portable 4-wide vector of `u64` lanes.
-///
-/// Pure `std`: the representation is `[u64; 4]` and every operation is an
-/// `#[inline]` per-lane loop, which LLVM reliably vectorizes on targets with
-/// 256-bit integer SIMD (and lowers to clean scalar code elsewhere). No
-/// `unsafe`, no target-feature detection, no nightly intrinsics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct U64x4(pub [u64; 4]);
-
-impl U64x4 {
-    /// Loads four lanes from a slice chunk of exactly four words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk.len() != 4`.
-    #[inline]
-    pub fn load(chunk: &[u64]) -> Self {
-        Self([chunk[0], chunk[1], chunk[2], chunk[3]])
-    }
-
-    /// Stores the four lanes into a slice chunk of exactly four words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk.len() != 4`.
-    #[inline]
-    pub fn store(self, chunk: &mut [u64]) {
-        chunk.copy_from_slice(&self.0);
-    }
-
-    /// Lane-wise `a & b`.
-    #[inline]
-    pub fn and(self, other: Self) -> Self {
-        let mut out = [0u64; LANES];
-        for (i, lane) in out.iter_mut().enumerate() {
-            *lane = self.0[i] & other.0[i];
-        }
-        Self(out)
-    }
-
-    /// Lane-wise `a | b`.
-    #[inline]
-    pub fn or(self, other: Self) -> Self {
-        let mut out = [0u64; LANES];
-        for (i, lane) in out.iter_mut().enumerate() {
-            *lane = self.0[i] | other.0[i];
-        }
-        Self(out)
-    }
-
-    /// Lane-wise `a & !b` (set difference on bit masks).
-    #[inline]
-    pub fn and_not(self, other: Self) -> Self {
-        let mut out = [0u64; LANES];
-        for (i, lane) in out.iter_mut().enumerate() {
-            *lane = self.0[i] & !other.0[i];
-        }
-        Self(out)
-    }
-
-    /// Sum of the per-lane popcounts.
-    #[inline]
-    pub fn popcount(self) -> usize {
-        let mut acc = 0usize;
-        for i in 0..LANES {
-            acc += self.0[i].count_ones() as usize;
-        }
-        acc
-    }
-
-    /// Whether any lane has any bit set.
-    #[inline]
-    pub fn any(self) -> bool {
-        (self.0[0] | self.0[1] | self.0[2] | self.0[3]) != 0
-    }
-}
-
-/// Splits a word slice into its 4-aligned lane-group prefix and remainder.
-#[inline]
-fn lanes(words: &[u64]) -> (std::slice::ChunksExact<'_, u64>, &[u64]) {
-    let chunks = words.chunks_exact(LANES);
-    let rem = chunks.remainder();
-    (chunks, rem)
-}
-
-/// Generic binary kernel producing a fresh word vector: 4-wide main loop plus
-/// a word-wise remainder. `f4` and `f1` must compute the same function.
-#[inline]
-fn zip<F4, F1>(a: &[u64], b: &[u64], f4: F4, f1: F1) -> Vec<u64>
-where
-    F4: Fn(U64x4, U64x4) -> U64x4,
-    F1: Fn(u64, u64) -> u64,
-{
-    debug_assert_eq!(a.len(), b.len(), "word slices of different lengths");
-    let mut out = Vec::with_capacity(a.len());
-    let (ac, ar) = lanes(a);
-    let (bc, br) = lanes(b);
-    for (x, y) in ac.zip(bc) {
-        out.extend_from_slice(&f4(U64x4::load(x), U64x4::load(y)).0);
-    }
-    for (&x, &y) in ar.iter().zip(br) {
-        out.push(f1(x, y));
-    }
-    out
-}
-
-/// Generic in-place binary kernel: `dst[i] = f(dst[i], src[i])`.
-#[inline]
-fn zip_in_place<F4, F1>(dst: &mut [u64], src: &[u64], f4: F4, f1: F1)
-where
-    F4: Fn(U64x4, U64x4) -> U64x4,
-    F1: Fn(u64, u64) -> u64,
-{
-    debug_assert_eq!(dst.len(), src.len(), "word slices of different lengths");
-    let mut dc = dst.chunks_exact_mut(LANES);
-    let (sc, sr) = lanes(src);
-    for (x, y) in dc.by_ref().zip(sc) {
-        f4(U64x4::load(x), U64x4::load(y)).store(x);
-    }
-    for (x, &y) in dc.into_remainder().iter_mut().zip(sr) {
-        *x = f1(*x, y);
-    }
-}
-
-/// `a & b` into a fresh vector (SIMD tier).
+/// `a & b` into a fresh vector.
 pub fn and(a: &[u64], b: &[u64]) -> Vec<u64> {
-    zip(a, b, U64x4::and, |x, y| x & y)
-}
-
-/// `a | b` into a fresh vector (SIMD tier).
-pub fn or(a: &[u64], b: &[u64]) -> Vec<u64> {
-    zip(a, b, U64x4::or, |x, y| x | y)
-}
-
-/// `a & !b` into a fresh vector (SIMD tier).
-pub fn and_not(a: &[u64], b: &[u64]) -> Vec<u64> {
-    zip(a, b, U64x4::and_not, |x, y| x & !y)
-}
-
-/// In-place `dst &= src` (SIMD tier).
-pub fn and_in_place(dst: &mut [u64], src: &[u64]) {
-    zip_in_place(dst, src, U64x4::and, |x, y| x & y);
-}
-
-/// In-place `dst |= src` (SIMD tier).
-pub fn or_in_place(dst: &mut [u64], src: &[u64]) {
-    zip_in_place(dst, src, U64x4::or, |x, y| x | y);
-}
-
-/// In-place `dst &= !src` (SIMD tier).
-pub fn and_not_in_place(dst: &mut [u64], src: &[u64]) {
-    zip_in_place(dst, src, U64x4::and_not, |x, y| x & !y);
-}
-
-/// Popcount of a word bitset (SIMD tier).
-pub fn popcount(words: &[u64]) -> usize {
-    let (chunks, rem) = lanes(words);
-    let mut acc = 0usize;
-    for chunk in chunks {
-        acc += U64x4::load(chunk).popcount();
-    }
-    acc + rem.iter().map(|w| w.count_ones() as usize).sum::<usize>()
-}
-
-/// `popcount(a & b)` without materialising the intersection (SIMD tier) —
-/// the inner step of every row-AND degree kernel.
-pub fn and_popcount(a: &[u64], b: &[u64]) -> usize {
     debug_assert_eq!(a.len(), b.len(), "word slices of different lengths");
-    let (ac, ar) = lanes(a);
-    let (bc, br) = lanes(b);
-    let mut acc = 0usize;
-    for (x, y) in ac.zip(bc) {
-        acc += U64x4::load(x).and(U64x4::load(y)).popcount();
-    }
-    for (&x, &y) in ar.iter().zip(br) {
-        acc += (x & y).count_ones() as usize;
-    }
-    acc
-}
-
-/// In-place `dst |= a & b` (SIMD tier) — the frontier-accumulation step of
-/// the BFS and peeling kernels (`next |= adjacency_row & membership`).
-pub fn or_and_into(dst: &mut [u64], a: &[u64], b: &[u64]) {
-    debug_assert_eq!(dst.len(), a.len(), "word slices of different lengths");
-    debug_assert_eq!(dst.len(), b.len(), "word slices of different lengths");
-    let mut dc = dst.chunks_exact_mut(LANES);
-    let (ac, ar) = lanes(a);
-    let (bc, br) = lanes(b);
-    for ((d, x), y) in dc.by_ref().zip(ac).zip(bc) {
-        let acc = U64x4::load(d).or(U64x4::load(x).and(U64x4::load(y)));
-        acc.store(d);
-    }
-    for ((d, &x), &y) in dc.into_remainder().iter_mut().zip(ar).zip(br) {
-        *d |= x & y;
-    }
-}
-
-/// Whether any bit is set (SIMD tier; short-circuits per lane group).
-pub fn any(words: &[u64]) -> bool {
-    let (chunks, rem) = lanes(words);
-    for chunk in chunks {
-        if U64x4::load(chunk).any() {
-            return true;
-        }
-    }
-    rem.iter().any(|&w| w != 0)
-}
-
-// --- Word reference tier -------------------------------------------------
-//
-// One `u64` at a time, no lane grouping: the tier the SIMD kernels are pinned
-// against in the proptests (the way the scalar tier backs the word tier).
-
-/// `a & b` into a fresh vector (word reference tier).
-pub fn and_word(a: &[u64], b: &[u64]) -> Vec<u64> {
     a.iter().zip(b).map(|(&x, &y)| x & y).collect()
 }
 
-/// `a | b` into a fresh vector (word reference tier).
-pub fn or_word(a: &[u64], b: &[u64]) -> Vec<u64> {
+/// `a | b` into a fresh vector.
+pub fn or(a: &[u64], b: &[u64]) -> Vec<u64> {
+    debug_assert_eq!(a.len(), b.len(), "word slices of different lengths");
     a.iter().zip(b).map(|(&x, &y)| x | y).collect()
 }
 
-/// `a & !b` into a fresh vector (word reference tier).
-pub fn and_not_word(a: &[u64], b: &[u64]) -> Vec<u64> {
+/// `a & !b` into a fresh vector.
+pub fn and_not(a: &[u64], b: &[u64]) -> Vec<u64> {
+    debug_assert_eq!(a.len(), b.len(), "word slices of different lengths");
     a.iter().zip(b).map(|(&x, &y)| x & !y).collect()
 }
 
-/// Popcount of a word bitset (word reference tier).
-pub fn popcount_word(words: &[u64]) -> usize {
+/// In-place `dst &= src`.
+pub fn and_in_place(dst: &mut [u64], src: &[u64]) {
+    debug_assert_eq!(dst.len(), src.len(), "word slices of different lengths");
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d &= s;
+    }
+}
+
+/// In-place `dst |= src`.
+pub fn or_in_place(dst: &mut [u64], src: &[u64]) {
+    debug_assert_eq!(dst.len(), src.len(), "word slices of different lengths");
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d |= s;
+    }
+}
+
+/// In-place `dst &= !src`.
+pub fn and_not_in_place(dst: &mut [u64], src: &[u64]) {
+    debug_assert_eq!(dst.len(), src.len(), "word slices of different lengths");
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d &= !s;
+    }
+}
+
+/// Popcount of a word bitset.
+pub fn popcount(words: &[u64]) -> usize {
     words.iter().map(|w| w.count_ones() as usize).sum()
 }
 
-/// `popcount(a & b)` (word reference tier).
-pub fn and_popcount_word(a: &[u64], b: &[u64]) -> usize {
+/// `popcount(a & b)` without materialising the intersection — the inner step
+/// of every row-AND degree kernel.
+pub fn and_popcount(a: &[u64], b: &[u64]) -> usize {
+    debug_assert_eq!(a.len(), b.len(), "word slices of different lengths");
     a.iter().zip(b).map(|(&x, &y)| (x & y).count_ones() as usize).sum()
 }
 
-/// In-place `dst |= a & b` (word reference tier).
-pub fn or_and_into_word(dst: &mut [u64], a: &[u64], b: &[u64]) {
+/// In-place `dst |= a & b` — the frontier-accumulation step of the BFS and
+/// peeling kernels (`next |= adjacency_row & membership`).
+pub fn or_and_into(dst: &mut [u64], a: &[u64], b: &[u64]) {
+    debug_assert_eq!(dst.len(), a.len(), "word slices of different lengths");
+    debug_assert_eq!(dst.len(), b.len(), "word slices of different lengths");
     for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
         *d |= x & y;
     }
+}
+
+/// Whether any bit is set (short-circuits on the first non-zero word).
+pub fn any(words: &[u64]) -> bool {
+    words.iter().any(|&w| w != 0)
 }
 
 /// Calls `f` with every set bit's index, ascending: an allocation-free
@@ -284,48 +100,44 @@ pub fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn lane_type_roundtrips_and_computes() {
-        let a = U64x4::load(&[1, 2, 4, 8]);
-        let b = U64x4::load(&[3, 3, 3, 15]);
-        assert_eq!(a.and(b).0, [1, 2, 0, 8]);
-        assert_eq!(a.or(b).0, [3, 3, 7, 15]);
-        assert_eq!(a.and_not(b).0, [0, 0, 4, 0]);
-        assert_eq!(a.popcount(), 4);
-        assert!(a.any());
-        assert!(!U64x4::default().any());
-        let mut out = [0u64; 4];
-        a.store(&mut out);
-        assert_eq!(out, [1, 2, 4, 8]);
+    /// The set-bit indices of a word slice, one bit test at a time.
+    fn bits(words: &[u64]) -> Vec<usize> {
+        (0..words.len() * 64).filter(|&i| words[i / 64] >> (i % 64) & 1 == 1).collect()
     }
 
     #[test]
-    fn kernels_match_word_tier_across_remainder_lengths() {
-        // Lengths 0..=9 cover empty, sub-lane, exact-lane and lane+remainder.
-        for len in 0usize..10 {
+    fn kernels_match_a_per_bit_model() {
+        for len in 0usize..6 {
             let a: Vec<u64> = (0..len as u64).map(|i| i.wrapping_mul(0x9E3779B97F4A7C15)).collect();
             let b: Vec<u64> =
                 (0..len as u64).map(|i| (i + 7).wrapping_mul(0xBF58476D1CE4E5B9)).collect();
-            assert_eq!(and(&a, &b), and_word(&a, &b), "and len={len}");
-            assert_eq!(or(&a, &b), or_word(&a, &b), "or len={len}");
-            assert_eq!(and_not(&a, &b), and_not_word(&a, &b), "and_not len={len}");
-            assert_eq!(popcount(&a), popcount_word(&a), "popcount len={len}");
-            assert_eq!(and_popcount(&a, &b), and_popcount_word(&a, &b), "and_popcount len={len}");
-            assert_eq!(any(&a), a.iter().any(|&w| w != 0), "any len={len}");
-            let mut d1 = a.clone();
-            and_in_place(&mut d1, &b);
-            assert_eq!(d1, and(&a, &b), "and_in_place len={len}");
-            let mut d2 = a.clone();
-            or_in_place(&mut d2, &b);
-            assert_eq!(d2, or(&a, &b), "or_in_place len={len}");
-            let mut d3 = a.clone();
-            and_not_in_place(&mut d3, &b);
-            assert_eq!(d3, and_not(&a, &b), "and_not_in_place len={len}");
-            let mut d4 = vec![1u64; len];
-            let mut d5 = vec![1u64; len];
-            or_and_into(&mut d4, &a, &b);
-            or_and_into_word(&mut d5, &a, &b);
-            assert_eq!(d4, d5, "or_and_into len={len}");
+            let (sa, sb) = (bits(&a), bits(&b));
+            let both: Vec<usize> = sa.iter().copied().filter(|i| sb.contains(i)).collect();
+            let only_a: Vec<usize> = sa.iter().copied().filter(|i| !sb.contains(i)).collect();
+            let mut either = [sa.clone(), sb.clone()].concat();
+            either.sort_unstable();
+            either.dedup();
+
+            assert_eq!(bits(&and(&a, &b)), both, "and len={len}");
+            assert_eq!(bits(&or(&a, &b)), either, "or len={len}");
+            assert_eq!(bits(&and_not(&a, &b)), only_a, "and_not len={len}");
+            assert_eq!(popcount(&a), sa.len(), "popcount len={len}");
+            assert_eq!(and_popcount(&a, &b), both.len(), "and_popcount len={len}");
+            assert_eq!(any(&a), !sa.is_empty(), "any len={len}");
+            let mut d = a.clone();
+            and_in_place(&mut d, &b);
+            assert_eq!(d, and(&a, &b), "and_in_place len={len}");
+            let mut d = a.clone();
+            or_in_place(&mut d, &b);
+            assert_eq!(d, or(&a, &b), "or_in_place len={len}");
+            let mut d = a.clone();
+            and_not_in_place(&mut d, &b);
+            assert_eq!(d, and_not(&a, &b), "and_not_in_place len={len}");
+            let mut d = vec![1u64; len];
+            or_and_into(&mut d, &a, &b);
+            let mut expected = and(&a, &b);
+            or_in_place(&mut expected, &vec![1u64; len]);
+            assert_eq!(d, expected, "or_and_into len={len}");
         }
     }
 

@@ -20,8 +20,7 @@
 //! lazily (ascending vertex order) when a caller asks for
 //! [`members`](VertexSubset::members).
 //!
-//! All word loops run through the portable 4-wide SIMD kernels of [`crate::simd`]
-//! (with the plain word loops kept there as the pinned reference tier), and the
+//! All word loops run through the word kernels of [`crate::simd`], and the
 //! BFS scratch bitsets come from the per-thread [`crate::arena`], so repeated
 //! component queries are allocation-free in the steady state.
 //!
@@ -176,19 +175,19 @@ impl VertexSubset {
             .map(|i| VertexId::from_index(i * 64 + self.bits[i].trailing_zeros() as usize))
     }
 
-    /// Intersection with another subset over the same graph (SIMD word-parallel).
+    /// Intersection with another subset over the same graph (word-parallel).
     pub fn intersect(&self, other: &VertexSubset) -> VertexSubset {
         debug_assert_eq!(self.n, other.n, "subsets of different graphs");
         VertexSubset::from_words(self.n, simd::and(&self.bits, &other.bits))
     }
 
-    /// Union with another subset over the same graph (SIMD word-parallel).
+    /// Union with another subset over the same graph (word-parallel).
     pub fn union(&self, other: &VertexSubset) -> VertexSubset {
         debug_assert_eq!(self.n, other.n, "subsets of different graphs");
         VertexSubset::from_words(self.n, simd::or(&self.bits, &other.bits))
     }
 
-    /// Set difference `self \ other` over the same graph (SIMD word-parallel).
+    /// Set difference `self \ other` over the same graph (word-parallel).
     pub fn difference(&self, other: &VertexSubset) -> VertexSubset {
         debug_assert_eq!(self.n, other.n, "subsets of different graphs");
         VertexSubset::from_words(self.n, simd::and_not(&self.bits, &other.bits))
@@ -263,7 +262,7 @@ impl VertexSubset {
     /// or `None` if `start` is not a member.
     ///
     /// Runs a frontier-bitset BFS: each round expands the whole frontier at
-    /// once, using SIMD word-parallel `row & subset & !visited` steps for
+    /// once, using word-parallel `row & subset & !visited` steps for
     /// vertices with adjacency-bitmap rows and CSR scans for the rest. The
     /// three round bitsets (`comp`, `frontier`, `next`) are checked out of the
     /// per-thread [`crate::arena`], so steady-state calls allocate only the

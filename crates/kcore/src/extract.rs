@@ -55,7 +55,7 @@ pub fn connected_kcore_containing(
 /// `affected`) checked out of the per-thread [`acq_graph::arena`] and reused
 /// across rounds; after the first query on a worker thread the whole peel is
 /// allocation-free except for the returned subset. The word loops run through
-/// the portable SIMD kernels of [`acq_graph::simd`].
+/// the kernels of [`acq_graph::simd`].
 pub fn peel_to_kcore(graph: &AttributedGraph, subset: &VertexSubset, k: usize) -> VertexSubset {
     let n = graph.num_vertices();
     if k == 0 || subset.is_empty() {

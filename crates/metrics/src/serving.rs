@@ -62,22 +62,24 @@ pub struct ServerCounters {
     pub dedup_hits: u64,
 }
 
-/// Which maintenance path a live update took for a delta batch.
+/// What a live update owed the index once its whole delta batch had been
+/// applied — decided once per batch, after the last delta.
 ///
 /// Serialisable (as the variant name string) so an [`UpdateReport`] can be
 /// returned over the wire by a serving front-end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum UpdateStrategy {
-    /// Every delta went through the incremental kernels and the CL-tree
-    /// skeleton was kept verbatim (node ids stayed stable).
+    /// Nothing: every edge delta kept the CL-tree skeleton exact, so only the
+    /// core numbers and inverted lists were edited (node ids stayed stable).
     IncrementalStableSkeleton,
-    /// The incremental core maintenance ran, but a delta merged/split/moved a
-    /// ĉore, so the skeleton was rebuilt from the maintained decomposition
-    /// (skipping the from-scratch `O(m)` decomposition).
+    /// One skeleton rebuild: some edge delta merged/split/moved a ĉore, so
+    /// the skeleton was rebuilt from the maintained decomposition (skipping
+    /// the from-scratch `O(m)` decomposition).
     IncrementalRebuiltSkeleton,
-    /// The cumulative touched-subcore fraction crossed the engine's
-    /// `rebuild_threshold`: incremental maintenance stopped paying for itself
-    /// and the index was rebuilt from scratch with `build_advanced`.
+    /// One from-scratch `build_advanced`: the kernels had examined as many
+    /// vertices as a from-scratch decomposition would (`subcore_touched ≥ n`)
+    /// with edge deltas still to go, so the rest skipped their kernels. Also
+    /// what a sharded engine reports for a repartition.
     FullRebuild,
 }
 

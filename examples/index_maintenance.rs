@@ -1,10 +1,9 @@
 //! The live-update pipeline (Section 5.2.2 / Appendix F): graph deltas flow
 //! into a **serving** engine through [`Engine::apply_updates`], which stages
-//! the updated graph with incremental CSR/bitmap edits, maintains the CL-tree
-//! through the subcore kernels (or falls back to a full rebuild past the
-//! touched-subcore threshold), and publishes graph and index atomically —
-//! queries in flight finish on their snapshot, queries after the swap see
-//! the new graph.
+//! the updated graph with incremental CSR/bitmap edits, runs every edge delta
+//! through the subcore kernels, rebuilds the CL-tree skeleton at most once
+//! per batch, and publishes graph and index atomically — queries in flight
+//! finish on their snapshot, queries after the swap see the new graph.
 //!
 //! ```text
 //! cargo run --example index_maintenance
@@ -108,10 +107,4 @@ fn main() {
          queries byte-identical",
         requests.len()
     );
-
-    // --- 4. The low-level handle is still there for external indexes. ------
-    // `swap_index` publishes an externally built tree for the current graph
-    // (new generation) — the escape hatch apply_updates is built on.
-    let generation = engine.swap_index(Arc::new(build_advanced(&final_graph, true)));
-    println!("swap_index published an externally built index as generation {generation}");
 }

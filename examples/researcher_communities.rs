@@ -2,7 +2,7 @@
 //! research communities around two prolific authors.
 //!
 //! The example runs on the hand-crafted co-authorship graph of
-//! `acq_datagen::case_study` (a stand-in for DBLP, see DESIGN.md) and shows
+//! `acq_datagen::case_study` (a stand-in for DBLP) and shows
 //! how different query keyword sets `S` pull out different communities for
 //! the same author, how the AC compares with the structure-only k-core, and
 //! how the Variant 1 / Variant 2 queries behave.

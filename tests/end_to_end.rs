@@ -167,12 +167,13 @@ fn index_survives_serialisation_and_maintenance_roundtrip() {
         .find(|&v| v != u && !graph.has_edge(u, v))
         .expect("some non-adjacent pair exists");
     let updated_graph = graph.with_edge_inserted(u, v).unwrap();
-    let maintained = attributed_community_search::cltree::maintenance::apply_edge_insertion(
-        &restored,
-        &updated_graph,
-        u,
-        v,
-    );
+    let (maintained, _) =
+        attributed_community_search::cltree::maintenance::apply_edge_insertion_with_report(
+            &restored,
+            &updated_graph,
+            u,
+            v,
+        );
     maintained.validate(&updated_graph).unwrap();
     assert_eq!(maintained.canonical_form(), build_advanced(&updated_graph, true).canonical_form());
 }

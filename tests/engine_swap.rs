@@ -1,11 +1,21 @@
-//! Concurrency tests for [`Engine::swap_index`]: publishing a new index
-//! generation must not disturb concurrent `execute` calls — queries keep
-//! succeeding throughout, answers never change (same graph), and each thread
-//! observes generations in publication order.
+//! Concurrency tests for the generation handle: publishing a new generation
+//! through [`Engine::apply_updates`] must not disturb concurrent `execute`
+//! calls — queries keep succeeding throughout, answers never change while
+//! the published graph does not, and each thread observes generations in
+//! publication order.
 
 use attributed_community_search::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// A batch that runs the insertion and the removal kernel on one absent edge
+/// and so publishes a new generation of the **same** graph.
+fn edge_toggle(graph: &AttributedGraph) -> [GraphDelta; 2] {
+    let mut vertices = graph.vertices();
+    let u = vertices.next().expect("non-empty graph");
+    let v = vertices.find(|&v| !graph.has_edge(u, v)).expect("the graph is not a star on u");
+    [GraphDelta::insert_edge(u, v), GraphDelta::remove_edge(u, v)]
+}
 
 #[test]
 fn swap_under_load_never_disturbs_concurrent_queries() {
@@ -28,12 +38,13 @@ fn swap_under_load_never_disturbs_concurrent_queries() {
         .collect();
 
     const SWAPS: u64 = 25;
+    let toggle = edge_toggle(&graph);
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
-        // Writer: keeps publishing freshly built indexes while readers query.
+        // Writer: keeps publishing maintained generations while readers query.
         let writer = scope.spawn(|| {
             for _ in 0..SWAPS {
-                engine.rebuild_index();
+                engine.apply_updates(&toggle).expect("valid deltas");
             }
             stop.store(true, Ordering::Release);
         });
@@ -85,10 +96,11 @@ fn a_batch_runs_entirely_on_one_generation() {
     let engine = Engine::builder(Arc::clone(&graph)).threads(4).build();
     let requests: Vec<Request> = graph.vertices().map(|v| Request::community(v).k(2)).collect();
 
+    let toggle = edge_toggle(&graph);
     std::thread::scope(|scope| {
         let swapper = scope.spawn(|| {
             for _ in 0..10 {
-                engine.rebuild_index();
+                engine.apply_updates(&toggle).expect("valid deltas");
             }
         });
         for _ in 0..10 {
@@ -200,38 +212,5 @@ fn apply_updates_under_load_keeps_queries_consistent() {
         let live = engine.execute(request).unwrap();
         let rebuilt = fresh.execute(request).unwrap();
         assert_eq!(live.result, rebuilt.result, "maintained state must equal a rebuild");
-    }
-}
-
-#[test]
-fn swapped_in_maintained_index_serves_the_updated_graph() {
-    // The dynamic-maintenance shape this handle exists for: the graph gains
-    // an edge, the index is maintained off to the side, and the swap
-    // publishes the maintained tree to a *new* generation of an engine that
-    // owns the updated graph — no rebuild on the serving path.
-    use attributed_community_search::cltree::maintenance;
-
-    let graph = paper_figure3_graph();
-    let stale_index = build_advanced(&graph, true);
-
-    let h = graph.vertex_by_label("H").unwrap();
-    let j = graph.vertex_by_label("J").unwrap();
-    assert!(!graph.has_edge(h, j));
-    let updated = Arc::new(graph.with_edge_inserted(h, j).unwrap());
-    let maintained = maintenance::apply_edge_insertion(&stale_index, &updated, h, j);
-
-    // The serving engine owns the updated graph; the maintained index is
-    // published through the swap and must answer queries from generation 2.
-    let engine = Engine::builder(Arc::clone(&updated)).index(Arc::new(stale_index)).build();
-    let generation = engine.swap_index(Arc::new(maintained));
-    assert_eq!(generation, 2);
-
-    // H gained an edge: its community structure must match a from-scratch
-    // engine over the updated graph, served *through the swapped index*.
-    for request in [Request::community(h).k(3), Request::community(j).k(2)] {
-        let via_swap = engine.execute(&request).unwrap();
-        assert_eq!(via_swap.meta.generation, 2, "query must run on the swapped generation");
-        let from_scratch = Engine::new(Arc::clone(&updated)).execute(&request).unwrap();
-        assert_eq!(via_swap.result.canonical(), from_scratch.result.canonical());
     }
 }

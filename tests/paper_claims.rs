@@ -1,6 +1,6 @@
 //! Integration tests that pin down the paper's *qualitative* claims on the
-//! synthetic datasets — the properties the experiments in EXPERIMENTS.md rely
-//! on. These are coarser than unit tests: each one runs a small workload and
+//! synthetic datasets — the properties the experiments of `crates/experiments`
+//! rely on. These are coarser than unit tests: each one runs a small workload and
 //! checks a direction ("ACQ is more keyword-cohesive than Global", "Advanced
 //! builds faster than Basic", "Dec never returns a worse label than Inc-S").
 

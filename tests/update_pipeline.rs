@@ -1,10 +1,10 @@
 //! Equivalence tests for the live-update pipeline: for arbitrary delta
 //! sequences — edge inserts/removals, keyword adds/removes, vertex inserts —
 //! `Engine::apply_updates` must produce **byte-identical** query results to a
-//! from-scratch engine built on the updated graph, whichever maintenance path
-//! (stable skeleton, skeleton rebuild, threshold-forced full rebuild) the
-//! driver takes. Universe sizes straddle the 64-bit word boundary so the
-//! incremental bitmap maintenance hits its promotion/rebuild edge cases.
+//! from-scratch engine built on the updated graph, whichever plan (stable
+//! skeleton, one skeleton rebuild, one full build) the batch ends in.
+//! Universe sizes straddle the 64-bit word boundary so the incremental bitmap
+//! maintenance hits its promotion/rebuild edge cases.
 
 use attributed_community_search::prelude::*;
 use proptest::prelude::*;
@@ -87,9 +87,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The acceptance property of the update pipeline: arbitrary delta
-    /// batches through `apply_updates` ≡ rebuild-from-scratch, across
-    /// maintenance strategies (default threshold, never-rebuild, and
-    /// always-rebuild all agree), on word-boundary universes n = 63..65.
+    /// batches through `apply_updates` ≡ rebuild-from-scratch, on
+    /// word-boundary universes n = 63..65.
     #[test]
     fn apply_updates_equals_rebuild_on_boundary_universes(
         raw in (
@@ -103,25 +102,23 @@ proptest! {
         let graph = Arc::new(build_graph(n, &edges, &keywords));
         let deltas = decode_deltas(n, &raw_deltas);
 
-        // Three engines, three maintenance policies.
-        let incremental = Engine::builder(Arc::clone(&graph)).rebuild_threshold(1.1).build();
-        let adaptive = Engine::builder(Arc::clone(&graph)).build();
-        let rebuild = Engine::builder(Arc::clone(&graph)).rebuild_threshold(0.0).build();
+        let engine = Engine::new(Arc::clone(&graph));
+        let report = engine.apply_updates(&deltas).expect("decoded deltas are valid");
+        prop_assert_eq!(report.generation, 2);
+        prop_assert_eq!(engine.generation(), 2);
+        // A from-scratch build is only ever chosen because the kernels had
+        // already examined a whole graph's worth of vertices.
+        prop_assert!(
+            report.strategy != UpdateStrategy::FullRebuild || report.subcore_touched >= n,
+            "FullRebuild after only {} of {n} vertices", report.subcore_touched
+        );
+        assert_equivalent_to_fresh(&engine);
 
-        for engine in [&incremental, &adaptive, &rebuild] {
-            let report = engine.apply_updates(&deltas).expect("decoded deltas are valid");
-            prop_assert_eq!(report.generation, 2);
-            prop_assert_eq!(engine.generation(), 2);
-        }
         prop_assert_eq!(
-            rebuild.apply_updates(&[]).expect("empty batch").strategy,
+            engine.apply_updates(&[]).expect("empty batch").strategy,
             UpdateStrategy::IncrementalStableSkeleton,
             "an empty batch touches nothing"
         );
-
-        assert_equivalent_to_fresh(&incremental);
-        assert_equivalent_to_fresh(&adaptive);
-        assert_equivalent_to_fresh(&rebuild);
     }
 
     /// Splitting one delta batch into many smaller `apply_updates` calls must

@@ -18,8 +18,13 @@
 //!    `docs/PROTOCOL.md` and `docs/DURABILITY.md` must match the source
 //!    literals they document (protocol version, envelope length, error
 //!    code strings, log/snapshot magic bytes).
+//! 5. **doc-links** — a Markdown file named in a `//!` / `///` comment of a
+//!    first-party source (`crates/`, `tools/`, `src/`, `examples/`, `tests/`)
+//!    must exist, at the repository root or under `docs/`: a pointer to a
+//!    document that was never written, or was deleted, sends the reader
+//!    nowhere.
 //!
-//! Everything here is line-oriented over a sanitised view of the source in
+//! Rules 1–3 are line-oriented over a sanitised view of the source in
 //! which comments and string literals are blanked out, so a banned token in
 //! a doc example or an error message never fires, and `#[cfg(test)]` blocks
 //! are tracked by brace depth and skipped where a rule is non-test only.
@@ -33,6 +38,9 @@ const SHIMMED_CRATES: &[&str] = &["crates/acq-core", "crates/acq-server", "crate
 
 /// Crates whose non-test code must not panic.
 const NO_PANIC_CRATES: &[&str] = &["crates/acq-server", "crates/acq-durable"];
+
+/// Directories whose doc comments may only name Markdown files that exist.
+const DOC_LINK_DIRS: &[&str] = &["crates", "tools", "src", "examples", "tests"];
 
 /// One rule violation, printable as `file:line: [rule] message`.
 #[derive(Debug)]
@@ -68,6 +76,14 @@ pub fn run(root: &Path) -> io::Result<Vec<Finding>> {
         check_safety_comments(&display, &source, &mut findings);
     }
     check_doc_pins(root, &mut findings)?;
+    let exists = |name: &str| root.join(name).is_file() || root.join("docs").join(name).is_file();
+    for dir in DOC_LINK_DIRS.iter().map(|dir| root.join(dir)).filter(|dir| dir.is_dir()) {
+        for file in rust_files(&dir)? {
+            let source = std::fs::read_to_string(&file)?;
+            let display = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
+            check_doc_links(&display, &source, exists, &mut findings);
+        }
+    }
     Ok(findings)
 }
 
@@ -414,6 +430,35 @@ fn check_doc_pins(root: &Path, findings: &mut Vec<Finding>) -> io::Result<()> {
     Ok(())
 }
 
+/// Rule 5: every Markdown file a doc comment names must satisfy `exists`
+/// (given the name as written, relative to the repository root).
+fn check_doc_links(
+    file: &Path,
+    source: &str,
+    exists: impl Fn(&str) -> bool,
+    findings: &mut Vec<Finding>,
+) {
+    let is_path_char = |c: char| c.is_ascii_alphanumeric() || "_-./".contains(c);
+    for (idx, raw) in source.lines().enumerate() {
+        let comment = raw.trim_start();
+        if !comment.starts_with("//!") && !comment.starts_with("///") {
+            continue;
+        }
+        for name in comment
+            .split(|c: char| !is_path_char(c))
+            .map(|token| token.trim_end_matches('.'))
+            .filter(|name| name.len() > ".md".len() && name.ends_with(".md") && !exists(name))
+        {
+            findings.push(Finding {
+                file: file.to_path_buf(),
+                line: idx + 1,
+                rule: "doc-links",
+                message: format!("doc comment names `{name}`, which does not exist"),
+            });
+        }
+    }
+}
+
 /// Value of `pub const <name>: <ty> = <int>;` in `source`.
 fn const_int(source: &str, name: &str) -> Option<u64> {
     let tail = source.split(&format!("pub const {name}:")).nth(1)?;
@@ -524,6 +569,22 @@ mod tests {
         let undocumented = "let x = unsafe { *p };\n";
         check_safety_comments(Path::new("x.rs"), undocumented, &mut findings);
         assert_eq!(findings.len(), 1);
+    }
+
+    #[test]
+    fn doc_links_fire_on_missing_files_in_doc_comments_only() {
+        // Assembled from pieces so this file's own doc comments stay clean.
+        let missing = ["GONE", ".md"].concat();
+        let source = format!(
+            "//! See {missing} and docs/HERE.md.\n/// Also `HERE.md`, ({missing}).\n\
+             // plain comment: {missing}\nlet s = \"{missing}\";\n"
+        );
+        let mut findings = Vec::new();
+        let exists = |name: &str| name == "HERE.md" || name == "docs/HERE.md";
+        check_doc_links(Path::new("x.rs"), &source, exists, &mut findings);
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![1, 2], "{findings:?}");
+        assert!(findings[0].message.contains(&missing));
     }
 
     #[test]
