@@ -13,7 +13,7 @@
 //!
 //! [`Engine::apply_updates`] — the only writer — takes a batch of
 //! [`GraphDelta`]s, applies them to a staged copy of the graph with
-//! incremental CSR/bitmap edits, runs each edge delta through the subcore
+//! incremental CSR edits, runs each edge delta through the subcore
 //! maintenance kernel (`acq_kcore::maintenance` via
 //! `acq_cltree::maintenance`) and each keyword or vertex delta through its
 //! local index edit, and then decides **once**, after the last delta, what

@@ -1,38 +1,11 @@
 //! Whole-graph connectivity helpers.
 
 use crate::graph::AttributedGraph;
-use crate::ids::VertexId;
 use crate::subgraph::VertexSubset;
 
 /// Computes all connected components of the whole graph.
 pub fn connected_components(graph: &AttributedGraph) -> Vec<VertexSubset> {
     VertexSubset::full(graph.num_vertices()).components(graph)
-}
-
-/// Computes the connected component containing `start`.
-pub fn component_containing(graph: &AttributedGraph, start: VertexId) -> VertexSubset {
-    VertexSubset::full(graph.num_vertices())
-        .component_of(graph, start)
-        .expect("start vertex must exist in the graph")
-}
-
-/// Breadth-first search order from `start` (over the whole graph), returning
-/// `(vertex, hop distance)` pairs. Useful for building local neighbourhoods.
-pub fn bfs_order(graph: &AttributedGraph, start: VertexId) -> Vec<(VertexId, usize)> {
-    let mut seen = VertexSubset::empty(graph.num_vertices());
-    let mut order = Vec::new();
-    let mut queue = std::collections::VecDeque::new();
-    seen.insert(start);
-    queue.push_back((start, 0usize));
-    while let Some((v, d)) = queue.pop_front() {
-        order.push((v, d));
-        for &u in graph.neighbors(v) {
-            if seen.insert(u) {
-                queue.push_back((u, d + 1));
-            }
-        }
-    }
-    order
 }
 
 #[cfg(test)]
@@ -47,30 +20,5 @@ mod tests {
         let mut sizes: Vec<usize> = comps.iter().map(VertexSubset::len).collect();
         sizes.sort_unstable();
         assert_eq!(sizes, vec![1, 2, 7]);
-    }
-
-    #[test]
-    fn component_containing_query_vertex() {
-        let g = paper_figure3_graph();
-        let a = g.vertex_by_label("A").unwrap();
-        let comp = component_containing(&g, a);
-        assert_eq!(comp.len(), 7);
-        assert!(comp.contains(g.vertex_by_label("G").unwrap()));
-        assert!(!comp.contains(g.vertex_by_label("H").unwrap()));
-    }
-
-    #[test]
-    fn bfs_order_distances_are_monotone() {
-        let g = paper_figure3_graph();
-        let a = g.vertex_by_label("A").unwrap();
-        let order = bfs_order(&g, a);
-        assert_eq!(order.len(), 7);
-        assert_eq!(order[0], (a, 0));
-        for pair in order.windows(2) {
-            assert!(pair[0].1 <= pair[1].1);
-        }
-        let f = g.vertex_by_label("F").unwrap();
-        let dist_f = order.iter().find(|(v, _)| *v == f).unwrap().1;
-        assert_eq!(dist_f, 2, "A -> E -> F");
     }
 }

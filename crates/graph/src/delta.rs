@@ -6,7 +6,7 @@
 //! over the wire exactly like query requests, and
 //! [`AttributedGraph::apply_deltas`](crate::AttributedGraph::apply_deltas)
 //! applies a whole batch with **one** structure clone plus per-delta
-//! incremental CSR/bitmap edits — instead of the historical
+//! incremental CSR edits — instead of the historical
 //! rebuild-everything-per-update clone helpers (which are now thin shims over
 //! this path).
 //!

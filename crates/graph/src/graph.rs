@@ -26,12 +26,6 @@ pub struct AttributedGraph {
     keywords: Vec<KeywordSet>,
     labels: Vec<Option<String>>,
     dictionary: KeywordDictionary,
-    /// Derived acceleration structure — never serialized (it is a pure
-    /// function of the CSR fields) and rebuilt on deserialization, so the
-    /// wire format stays the pre-bitmap one and no bitmap invariant is ever
-    /// trusted from external data.
-    #[serde(skip)]
-    adjacency: AdjacencyBitmaps,
 }
 
 impl Deserialize for AttributedGraph {
@@ -53,8 +47,9 @@ impl Deserialize for AttributedGraph {
         // deserialized graph would treat every keyword delta as an unknown
         // term (a silent no-op on replay).
         dictionary.rebuild_lookup();
-        // Validate the CSR shape before rebuilding derived structures, so a
-        // malformed payload is an error instead of a panic.
+        // Validate everything the accessors and the delta path rely on, so a
+        // malformed payload is an error here instead of a panic (or a silent
+        // wrong answer) later.
         let n = keywords.len();
         if offsets.len() != n + 1
             || offsets.first() != Some(&0)
@@ -69,133 +64,43 @@ impl Deserialize for AttributedGraph {
         if neighbors.iter().any(|u| u.index() >= n) {
             return Err(serde::Error::custom("neighbor vertex out of range in AttributedGraph"));
         }
-        // Each CSR row must be sorted and duplicate-free: `has_edge` binary-
-        // searches rows, and the bitmap rows (one bit per neighbour) must
-        // agree with the scalar row scans.
+        // Each CSR row must be sorted and duplicate-free: `has_edge` and the
+        // symmetry check below binary-search rows.
+        let row = |v: usize| &neighbors[offsets[v]..offsets[v + 1]];
+        if (0..n).any(|v| row(v).windows(2).any(|w| w[0] >= w[1])) {
+            return Err(serde::Error::custom(
+                "unsorted or duplicated CSR neighbor row in AttributedGraph",
+            ));
+        }
+        // Every edge must be stored at both endpoints: `has_edge` searches
+        // from the lower-degree one, so a one-sided edge would reach
+        // `remove_edge_in_place` and fail its "edge present" lookup on the
+        // other row.
         for v in 0..n {
-            if neighbors[offsets[v]..offsets[v + 1]].windows(2).any(|w| w[0] >= w[1]) {
+            let id = VertexId::from_index(v);
+            for &u in row(v) {
+                if u == id {
+                    return Err(serde::Error::custom("self-loop in AttributedGraph"));
+                }
+                if row(u.index()).binary_search(&id).is_err() {
+                    return Err(serde::Error::custom(
+                        "asymmetric CSR neighbor rows in AttributedGraph",
+                    ));
+                }
+            }
+        }
+        // `KeywordSet::contains` binary-searches, and ids index the dictionary.
+        for set in &keywords {
+            if set.as_slice().windows(2).any(|w| w[0] >= w[1]) {
                 return Err(serde::Error::custom(
-                    "unsorted or duplicated CSR neighbor row in AttributedGraph",
+                    "unsorted or duplicated keyword set in AttributedGraph",
                 ));
             }
-        }
-        let adjacency = AdjacencyBitmaps::build(&offsets, &neighbors, n);
-        Ok(Self { offsets, neighbors, keywords, labels, dictionary, adjacency })
-    }
-}
-
-/// Hybrid adjacency bitmap: dense bitset rows (one bit per vertex) for the
-/// high-degree vertices, CSR scan fallback for the long low-degree tail.
-///
-/// A vertex gets a row when `deg(v) >= max(1, n / 64)`. At that threshold a
-/// row of `⌈n/64⌉` words (`n/8` bytes) costs at most ~2x the vertex's own CSR
-/// list (`deg(v) * 4 >= n/16` bytes), so the whole structure adds at most
-/// ~2x the CSR adjacency memory while making every in-subset degree count on
-/// a hot vertex a word-parallel `popcount(row & subset)` instead of a
-/// per-neighbour scan. `VertexSubset::degree_within`, the peeling worklist and
-/// the frontier-bitset BFS all key off [`AttributedGraph::adjacency_row`].
-///
-/// Under [`AttributedGraph::apply_deltas`] the structure is maintained
-/// *incrementally*: an edge delta flips one bit in each endpoint row, and a
-/// vertex crossing the `deg >= n/64` threshold is promoted (row appended) or
-/// demoted (row swap-removed, `owner_of_row` keeping the move `O(⌈n/64⌉)`).
-/// Only a vertex insertion that moves `⌈n/64⌉` (n reaching 64k+1: rows need
-/// another word) or `max(1, n/64)` (n reaching 128, 192, …: the threshold
-/// steps, demoting rows) forces a full rebuild — at most one rebuild per 64
-/// insertions.
-#[derive(Debug, Clone, Default)]
-struct AdjacencyBitmaps {
-    /// Words per row, `⌈n/64⌉`.
-    words_per_row: usize,
-    /// The degree threshold at which a vertex receives a row.
-    threshold: usize,
-    /// Per-vertex row index into `rows` (in units of rows); `u32::MAX` means
-    /// "no row — scan the CSR list".
-    row_of: Vec<u32>,
-    /// Reverse map: the vertex owning each row (for swap-remove demotion).
-    owner_of_row: Vec<u32>,
-    /// Concatenated bitmap rows, `row_count * words_per_row` words.
-    rows: Vec<u64>,
-}
-
-/// Sentinel in [`AdjacencyBitmaps::row_of`] for vertices without a row.
-const NO_ROW: u32 = u32::MAX;
-
-impl AdjacencyBitmaps {
-    /// Builds the bitmap rows from a finished CSR layout.
-    fn build(offsets: &[usize], neighbors: &[VertexId], n: usize) -> Self {
-        let words_per_row = n.div_ceil(64);
-        let threshold = (n / 64).max(1);
-        let mut row_of = vec![NO_ROW; n];
-        let mut owner_of_row = Vec::new();
-        let mut rows = Vec::new();
-        for v in 0..n {
-            let degree = offsets[v + 1] - offsets[v];
-            if degree < threshold {
-                continue;
+            if set.iter().any(|id| id.index() >= dictionary.len()) {
+                return Err(serde::Error::custom("keyword id out of range in AttributedGraph"));
             }
-            let start = rows.len();
-            rows.resize(start + words_per_row, 0u64);
-            for u in &neighbors[offsets[v]..offsets[v + 1]] {
-                let i = u.index();
-                rows[start + i / 64] |= 1u64 << (i % 64);
-            }
-            row_of[v] = u32::try_from(start / words_per_row).expect("row count fits u32");
-            owner_of_row.push(v as u32);
         }
-        Self { words_per_row, threshold, row_of, owner_of_row, rows }
-    }
-
-    /// Number of live rows.
-    fn row_count(&self) -> usize {
-        self.owner_of_row.len()
-    }
-
-    /// Sets (`true`) or clears (`false`) the bit of `neighbor` in `v`'s row,
-    /// if `v` owns one.
-    fn flip_bit(&mut self, v: usize, neighbor: usize, present: bool) {
-        let row = self.row_of[v];
-        if row == NO_ROW {
-            return;
-        }
-        let word = row as usize * self.words_per_row + neighbor / 64;
-        let mask = 1u64 << (neighbor % 64);
-        if present {
-            self.rows[word] |= mask;
-        } else {
-            self.rows[word] &= !mask;
-        }
-    }
-
-    /// Appends a row for `v`, filling it from its CSR neighbour list.
-    fn promote(&mut self, v: usize, neighbors: &[VertexId]) {
-        debug_assert_eq!(self.row_of[v], NO_ROW, "vertex already owns a row");
-        let start = self.rows.len();
-        self.rows.resize(start + self.words_per_row, 0u64);
-        for u in neighbors {
-            let i = u.index();
-            self.rows[start + i / 64] |= 1u64 << (i % 64);
-        }
-        self.row_of[v] = u32::try_from(self.row_count()).expect("row count fits u32");
-        self.owner_of_row.push(v as u32);
-    }
-
-    /// Removes `v`'s row by swapping the last row into its slot.
-    fn demote(&mut self, v: usize) {
-        let row = self.row_of[v];
-        debug_assert_ne!(row, NO_ROW, "vertex owns no row to demote");
-        let last = self.row_count() - 1;
-        let w = self.words_per_row;
-        if (row as usize) != last {
-            let (head, tail) = self.rows.split_at_mut(last * w);
-            head[row as usize * w..(row as usize + 1) * w].copy_from_slice(&tail[..w]);
-            let moved_owner = self.owner_of_row[last];
-            self.owner_of_row[row as usize] = moved_owner;
-            self.row_of[moved_owner as usize] = row;
-        }
-        self.rows.truncate(last * w);
-        self.owner_of_row.pop();
-        self.row_of[v] = NO_ROW;
+        Ok(Self { offsets, neighbors, keywords, labels, dictionary })
     }
 }
 
@@ -276,43 +181,6 @@ impl AttributedGraph {
         &self.dictionary
     }
 
-    /// The adjacency-bitmap row of `v` — one bit per graph vertex — if `v` is
-    /// hot enough to own one (`deg(v) >=`
-    /// [`adjacency_bitmap_threshold`](Self::adjacency_bitmap_threshold)).
-    /// `None` means the caller should scan the CSR list
-    /// ([`neighbors`](Self::neighbors)) instead.
-    #[inline]
-    pub fn adjacency_row(&self, v: VertexId) -> Option<&[u64]> {
-        let row = self.adjacency.row_of[v.index()];
-        if row == NO_ROW {
-            return None;
-        }
-        let w = self.adjacency.words_per_row;
-        let start = row as usize * w;
-        Some(&self.adjacency.rows[start..start + w])
-    }
-
-    /// The degree at or above which a vertex owns an adjacency-bitmap row:
-    /// `max(1, n / 64)` — the point where a bitmap row stops costing more
-    /// than the vertex's own CSR list (see the memory cost model on the
-    /// hybrid bitmap in `ARCHITECTURE.md`).
-    #[inline]
-    pub fn adjacency_bitmap_threshold(&self) -> usize {
-        self.adjacency.threshold
-    }
-
-    /// Number of vertices that own an adjacency-bitmap row.
-    pub fn adjacency_bitmap_rows(&self) -> usize {
-        self.adjacency.rows.len().checked_div(self.adjacency.words_per_row).unwrap_or(0)
-    }
-
-    /// Memory spent on the hybrid adjacency bitmap, in bytes (rows plus the
-    /// per-vertex row index).
-    pub fn adjacency_bitmap_bytes(&self) -> usize {
-        self.adjacency.rows.len() * std::mem::size_of::<u64>()
-            + self.adjacency.row_of.len() * std::mem::size_of::<u32>()
-    }
-
     /// Average vertex degree `d̂ = 2m / n` (0 for the empty graph).
     pub fn average_degree(&self) -> f64 {
         if self.num_vertices() == 0 {
@@ -352,8 +220,7 @@ impl AttributedGraph {
     /// Applies a batch of [`GraphDelta`]s, returning the updated graph.
     ///
     /// One structure clone, then per-delta incremental edits — sorted splices
-    /// into the CSR rows plus bitmap bit-flips and threshold
-    /// promotions/demotions — instead of the historical
+    /// into the CSR rows — instead of the historical
     /// rebuild-the-whole-graph-per-update path. Deltas apply in order; a
     /// [`GraphDelta::InsertVertex`] makes its new id visible to later deltas
     /// of the same batch. Deltas that are already true of the graph are
@@ -447,9 +314,7 @@ impl AttributedGraph {
         Ok(())
     }
 
-    /// Splices the (validated, absent) edge `{u, v}` into both CSR rows and
-    /// maintains the hybrid bitmap: bit-flips on existing rows, promotion
-    /// when an endpoint's degree reaches the `n/64` threshold.
+    /// Splices the (validated, absent) edge `{u, v}` into both CSR rows.
     fn insert_edge_in_place(&mut self, u: VertexId, v: VertexId) {
         for (a, b) in [(u, v), (v, u)] {
             let i = a.index();
@@ -460,20 +325,9 @@ impl AttributedGraph {
                 *off += 1;
             }
         }
-        for (a, b) in [(u, v), (v, u)] {
-            if self.adjacency.row_of[a.index()] != NO_ROW {
-                self.adjacency.flip_bit(a.index(), b.index(), true);
-            } else if self.degree(a) >= self.adjacency.threshold {
-                let i = a.index();
-                let (offsets, neighbors) = (&self.offsets, &self.neighbors);
-                self.adjacency.promote(i, &neighbors[offsets[i]..offsets[i + 1]]);
-            }
-        }
     }
 
-    /// Removes the (validated, present) edge `{u, v}` from both CSR rows and
-    /// maintains the hybrid bitmap: bit-flips, demotion when an endpoint
-    /// falls below the threshold.
+    /// Removes the (validated, present) edge `{u, v}` from both CSR rows.
     fn remove_edge_in_place(&mut self, u: VertexId, v: VertexId) {
         for (a, b) in [(u, v), (v, u)] {
             let i = a.index();
@@ -484,36 +338,16 @@ impl AttributedGraph {
                 *off -= 1;
             }
         }
-        for (a, b) in [(u, v), (v, u)] {
-            if self.adjacency.row_of[a.index()] != NO_ROW {
-                if self.degree(a) < self.adjacency.threshold {
-                    self.adjacency.demote(a.index());
-                } else {
-                    self.adjacency.flip_bit(a.index(), b.index(), false);
-                }
-            }
-        }
     }
 
-    /// Appends a new isolated vertex; rebuilds the bitmap only when the new
-    /// universe size moves `⌈n/64⌉` (at n = 64k+1) or the `max(1, n/64)`
-    /// threshold (at n = 128, 192, …) — at most once per 64 insertions —
-    /// otherwise the append is `O(1)`.
+    /// Appends a new isolated vertex (`O(1)`: an empty CSR row at the end).
     fn insert_vertex_in_place(&mut self, label: Option<String>, keywords: &[String]) -> VertexId {
-        let old_n = self.num_vertices();
+        let v = VertexId::from_index(self.num_vertices());
         let ids: Vec<KeywordId> = keywords.iter().map(|t| self.dictionary.intern(t)).collect();
         self.keywords.push(KeywordSet::from_ids(ids));
         self.labels.push(label);
         self.offsets.push(*self.offsets.last().expect("offsets never empty"));
-        let n = old_n + 1;
-        let words_changed = n.div_ceil(64) != self.adjacency.words_per_row;
-        let threshold_changed = (n / 64).max(1) != self.adjacency.threshold;
-        if words_changed || threshold_changed {
-            self.adjacency = AdjacencyBitmaps::build(&self.offsets, &self.neighbors, n);
-        } else {
-            self.adjacency.row_of.push(NO_ROW);
-        }
-        VertexId::from_index(old_n)
+        v
     }
 
     /// Returns a new graph with the undirected edge `{u, v}` inserted — a
@@ -669,14 +503,12 @@ impl GraphBuilder {
         for v in 0..n {
             neighbors[offsets[v]..offsets[v + 1]].sort_unstable();
         }
-        let adjacency = AdjacencyBitmaps::build(&offsets, &neighbors, n);
         AttributedGraph {
             offsets,
             neighbors,
             keywords: self.keywords,
             labels: self.labels,
             dictionary: self.dictionary,
-            adjacency,
         }
     }
 }
@@ -865,38 +697,9 @@ mod tests {
         assert!(g.with_keyword_added(bad, "x").is_err());
     }
 
-    #[test]
-    fn hybrid_adjacency_rows_match_csr_lists() {
-        let g = paper_figure3_graph();
-        assert_eq!(g.adjacency_bitmap_threshold(), 1, "n = 10 -> max(1, 10/64)");
-        for v in g.vertices() {
-            match g.adjacency_row(v) {
-                Some(row) => {
-                    let from_row: Vec<VertexId> = g
-                        .vertices()
-                        .filter(|u| (row[u.index() / 64] >> (u.index() % 64)) & 1 == 1)
-                        .collect();
-                    assert_eq!(from_row, g.neighbors(v), "row of {v:?} matches CSR");
-                }
-                None => assert!(
-                    g.degree(v) < g.adjacency_bitmap_threshold(),
-                    "only tail vertices lack rows"
-                ),
-            }
-        }
-        assert_eq!(g.adjacency_bitmap_rows(), 9, "all but the isolated J are hot at n=10");
-        assert!(g.adjacency_bitmap_bytes() > 0);
-        // Rows survive the immutable-update paths (rebuilt via the builder).
-        let h = g.vertex_by_label("H").unwrap();
-        let f = g.vertex_by_label("F").unwrap();
-        let g2 = g.with_edge_inserted(h, f).unwrap();
-        let row_h = g2.adjacency_row(h).expect("H now has degree 2");
-        assert_eq!((row_h[f.index() / 64] >> (f.index() % 64)) & 1, 1);
-    }
-
-    /// Asserts that the incrementally maintained structures (CSR rows, hybrid
-    /// bitmap) of `got` are identical to a from-scratch rebuild of the same
-    /// vertex/edge/keyword content.
+    /// Asserts that the incrementally maintained CSR rows of `got` are
+    /// identical to a from-scratch rebuild of the same vertex/edge/keyword
+    /// content.
     fn assert_matches_rebuild(got: &AttributedGraph) {
         let mut b = GraphBuilder::new();
         b.dictionary = got.dictionary.clone();
@@ -912,23 +715,6 @@ mod tests {
         let rebuilt = b.build();
         assert_eq!(got.offsets, rebuilt.offsets, "CSR offsets diverged from rebuild");
         assert_eq!(got.neighbors, rebuilt.neighbors, "CSR rows diverged from rebuild");
-        assert_eq!(
-            got.adjacency.words_per_row, rebuilt.adjacency.words_per_row,
-            "bitmap geometry diverged"
-        );
-        assert_eq!(got.adjacency.threshold, rebuilt.adjacency.threshold);
-        assert_eq!(
-            got.adjacency.row_count(),
-            rebuilt.adjacency.row_count(),
-            "row count diverged from rebuild"
-        );
-        for v in got.vertices() {
-            assert_eq!(
-                got.adjacency_row(v),
-                rebuilt.adjacency_row(v),
-                "bitmap row of {v:?} diverged from rebuild"
-            );
-        }
     }
 
     #[test]
@@ -1024,35 +810,9 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_promotion_and_demotion_track_the_threshold() {
-        // n = 10 keeps the threshold at 1: any vertex with an edge owns a row.
-        let g = paper_figure3_graph();
-        let j = g.vertex_by_label("J").unwrap();
-        let a = g.vertex_by_label("A").unwrap();
-        assert!(g.adjacency_row(j).is_none(), "isolated J owns no row");
-        let rows_before = g.adjacency_bitmap_rows();
-        let g2 = g.with_edge_inserted(j, a).unwrap();
-        assert!(g2.adjacency_row(j).is_some(), "J was promoted at degree 1");
-        assert_eq!(g2.adjacency_bitmap_rows(), rows_before + 1);
-        let g3 = g2.with_edge_removed(j, a).unwrap();
-        assert!(g3.adjacency_row(j).is_none(), "J was demoted back");
-        assert_eq!(g3.adjacency_bitmap_rows(), rows_before);
-        assert_matches_rebuild(&g3);
-        // Demoting a vertex that does not own the *last* row exercises the
-        // swap-remove path (the moved row's owner must stay correct).
-        let h = g.vertex_by_label("H").unwrap();
-        let i = g.vertex_by_label("I").unwrap();
-        let g4 = g.with_edge_removed(h, i).unwrap();
-        assert!(g4.adjacency_row(h).is_none());
-        assert!(g4.adjacency_row(i).is_none());
-        assert_matches_rebuild(&g4);
-    }
-
-    #[test]
-    fn vertex_insertion_across_word_boundaries_rebuilds_bitmap() {
+    fn vertex_insertion_grows_the_universe_across_word_boundaries() {
         // Grow a graph from 62 to 66 vertices one insert at a time; at n=65
-        // the word count ⌈n/64⌉ moves from 1 to 2, which must transparently
-        // rebuild the bitmap (the threshold max(1, n/64) first moves at 128).
+        // the subset word count ⌈n/64⌉ moves from 1 to 2.
         let star: Vec<(u32, u32)> = (1..62).map(|i| (0, i)).collect();
         let mut g = unlabeled_graph(62, &star);
         for step in 0..4 {
@@ -1060,7 +820,7 @@ mod tests {
             assert_eq!(g.num_vertices(), 63 + step);
             assert_matches_rebuild(&g);
         }
-        // The new vertices can gain edges and get promoted like any other.
+        // The new vertices can gain edges like any other.
         let v = VertexId(65);
         g = g
             .apply_deltas(&[
@@ -1069,6 +829,7 @@ mod tests {
             ])
             .unwrap();
         assert_matches_rebuild(&g);
+        assert_eq!(g.neighbors(v), &[VertexId(0), VertexId(1)]);
     }
 
     #[test]
@@ -1081,8 +842,7 @@ mod tests {
         let a = VertexId(0);
         assert_eq!(g2.neighbors(a), g.neighbors(a));
         assert_eq!(g2.keyword_set(a), g.keyword_set(a));
-        assert_eq!(g2.adjacency_row(a), g.adjacency_row(a), "bitmap rows are rebuilt identically");
-        assert!(!json.contains("adjacency"), "derived bitmap stays off the wire");
+        assert!(!json.contains("adjacency"), "only the five CSR fields are on the wire");
 
         // The term → id lookup must be rebuilt on deserialization: keyword
         // deltas replayed against a loaded snapshot resolve terms through
@@ -1103,11 +863,35 @@ mod tests {
 
     #[test]
     fn deserialization_rejects_malformed_csr() {
-        let g = paper_figure3_graph();
+        // The path 0 - 1 - 2 with keywords {a, b}, {b}, {}.
+        let g = graph_from_edges(&[&["a", "b"], &["b"], &[]], &[(0, 1), (1, 2)]);
         let json = serde_json::to_string(&g).unwrap();
-        // Truncating the offsets array must surface as an error, not a panic
-        // while rebuilding the adjacency bitmap.
-        let broken = json.replacen("\"offsets\":[0,", "\"offsets\":[", 1);
-        assert!(serde_json::from_str::<AttributedGraph>(&broken).is_err());
+        assert_eq!(
+            json,
+            r#"{"offsets":[0,1,3,4],"neighbors":[1,0,2,1],"keywords":[{"ids":[0,1]},{"ids":[1]},{"ids":[]}],"labels":[null,null,null],"dictionary":{"terms":["a","b"]}}"#
+        );
+        assert!(serde_json::from_str::<AttributedGraph>(&json).is_ok());
+        // One malformed payload per check of the deserializer: each must
+        // surface as that check's error, never as a panic or an `Ok` graph
+        // whose accessors lie.
+        let table = [
+            (r#""offsets":[0,"#, r#""offsets":["#, "inconsistent CSR offsets"),
+            (r#""labels":[null,"#, r#""labels":["#, "label count mismatch"),
+            ("[1,0,2,1]", "[1,0,9,1]", "neighbor vertex out of range"),
+            ("[1,0,2,1]", "[1,2,0,1]", "unsorted or duplicated CSR neighbor row"),
+            ("[1,0,2,1]", "[1,0,0,1]", "unsorted or duplicated CSR neighbor row"),
+            ("[1,0,2,1]", "[0,0,2,1]", "self-loop"),
+            ("[1,0,2,1]", "[1,0,2,0]", "asymmetric CSR neighbor rows"),
+            (r#"{"ids":[1]}"#, r#"{"ids":[2]}"#, "keyword id out of range"),
+            (r#"{"ids":[0,1]}"#, r#"{"ids":[1,0]}"#, "unsorted or duplicated keyword set"),
+            (r#"{"ids":[0,1]}"#, r#"{"ids":[1,1]}"#, "unsorted or duplicated keyword set"),
+        ];
+        for (from, to, want) in table {
+            let broken = json.replacen(from, to, 1);
+            assert_ne!(broken, json, "`{from}` not found in the payload");
+            let err = serde_json::from_str::<AttributedGraph>(&broken)
+                .expect_err(&format!("`{from}` -> `{to}` must be rejected"));
+            assert!(err.to_string().contains(want), "`{from}` -> `{to}`: got `{err}`");
+        }
     }
 }

@@ -127,28 +127,6 @@ impl GraphPartition {
         global
     }
 
-    /// Reassigns `vertices` to `to_shard` and renumbers the local ids of
-    /// every affected shard in ascending global order (restoring the
-    /// monotone-remap invariant after a component migration). Returns the
-    /// set of shards whose local-id maps changed — their shard graphs must
-    /// be rebuilt with [`extract_shard`](Self::extract_shard).
-    pub fn migrate(&mut self, vertices: &[VertexId], to_shard: usize) -> Vec<usize> {
-        let mut affected = vec![to_shard];
-        for &v in vertices {
-            let from = self.shard_of[v.index()] as usize;
-            if from != to_shard {
-                self.shard_of[v.index()] = to_shard as u32;
-                if !affected.contains(&from) {
-                    affected.push(from);
-                }
-            }
-        }
-        let rebuilt = Self::from_shard_of(std::mem::take(&mut self.shard_of), self.num_shards());
-        *self = rebuilt;
-        affected.sort_unstable();
-        affected
-    }
-
     /// Materialises the induced subgraph of `shard` from the full graph:
     /// the shard's vertices in ascending global order (so local ids follow
     /// the monotone-remap discipline), their labels and keyword sets, and
@@ -253,25 +231,5 @@ mod tests {
         assert_eq!(p.shard_of(v), lightest);
         assert_eq!(p.local_id(v).index(), p.shard_len(lightest) - 1);
         assert_eq!(p.num_vertices(), 4);
-    }
-
-    #[test]
-    fn migrate_moves_vertices_and_renumbers_ascending() {
-        // Components {0,1}, {2}, {3} over 2 shards: {0,1} -> shard 0, rest -> shard 1.
-        let g = unlabeled_graph(4, &[(0, 1)]);
-        let mut p = GraphPartition::by_components(&g, 2);
-        let from = p.shard_of(VertexId(2));
-        let to = 1 - from;
-        let affected = p.migrate(&[VertexId(2)], to);
-        assert!(affected.contains(&from) && affected.contains(&to));
-        assert_eq!(p.shard_of(VertexId(2)), to);
-        // Local ids in every shard are ascending in global id.
-        for s in 0..2 {
-            let ids = p.global_ids(s);
-            assert!(ids.windows(2).all(|w| w[0] < w[1]), "shard {s} ascending");
-            for (local, &gv) in ids.iter().enumerate() {
-                assert_eq!(p.local_id(gv).index(), local);
-            }
-        }
     }
 }

@@ -1,17 +1,11 @@
 //! Word-at-a-time kernels over `u64` word bitsets.
 //!
-//! The bitset kernels in this crate come in two tiers:
-//!
-//! 1. **Scalar** — per-element bit tests (e.g.
-//!    [`VertexSubset::degree_within_scalar`](crate::VertexSubset::degree_within_scalar)),
-//!    the semantic reference.
-//! 2. **Word** — the default, the functions here: plain zipped loops over
-//!    whole `u64` words. Pure `std`, no `unsafe`, no lane type, no
-//!    target-feature detection: a zipped slice loop is exactly the shape LLVM
-//!    autovectorizes, so a hand-rolled lane grouping on top buys nothing.
-//!
-//! The word tier is pinned against scalar semantics by the word-boundary
-//! proptests in this crate's root and in `acq-kcore`.
+//! One tier: plain zipped loops over whole `u64` words. Pure `std`, no
+//! `unsafe`, no lane type, no target-feature detection: a zipped slice loop
+//! is exactly the shape LLVM autovectorizes, so a hand-rolled lane grouping
+//! on top buys nothing. The kernels are pinned against per-bit semantics by
+//! the unit test below and by the word-boundary proptests in this crate's
+//! root.
 
 /// `a & b` into a fresh vector.
 pub fn and(a: &[u64], b: &[u64]) -> Vec<u64> {
@@ -60,23 +54,6 @@ pub fn popcount(words: &[u64]) -> usize {
     words.iter().map(|w| w.count_ones() as usize).sum()
 }
 
-/// `popcount(a & b)` without materialising the intersection — the inner step
-/// of every row-AND degree kernel.
-pub fn and_popcount(a: &[u64], b: &[u64]) -> usize {
-    debug_assert_eq!(a.len(), b.len(), "word slices of different lengths");
-    a.iter().zip(b).map(|(&x, &y)| (x & y).count_ones() as usize).sum()
-}
-
-/// In-place `dst |= a & b` — the frontier-accumulation step of the BFS and
-/// peeling kernels (`next |= adjacency_row & membership`).
-pub fn or_and_into(dst: &mut [u64], a: &[u64], b: &[u64]) {
-    debug_assert_eq!(dst.len(), a.len(), "word slices of different lengths");
-    debug_assert_eq!(dst.len(), b.len(), "word slices of different lengths");
-    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-        *d |= x & y;
-    }
-}
-
 /// Whether any bit is set (short-circuits on the first non-zero word).
 pub fn any(words: &[u64]) -> bool {
     words.iter().any(|&w| w != 0)
@@ -122,7 +99,6 @@ mod tests {
             assert_eq!(bits(&or(&a, &b)), either, "or len={len}");
             assert_eq!(bits(&and_not(&a, &b)), only_a, "and_not len={len}");
             assert_eq!(popcount(&a), sa.len(), "popcount len={len}");
-            assert_eq!(and_popcount(&a, &b), both.len(), "and_popcount len={len}");
             assert_eq!(any(&a), !sa.is_empty(), "any len={len}");
             let mut d = a.clone();
             and_in_place(&mut d, &b);
@@ -133,11 +109,6 @@ mod tests {
             let mut d = a.clone();
             and_not_in_place(&mut d, &b);
             assert_eq!(d, and_not(&a, &b), "and_not_in_place len={len}");
-            let mut d = vec![1u64; len];
-            or_and_into(&mut d, &a, &b);
-            let mut expected = and(&a, &b);
-            or_in_place(&mut expected, &vec![1u64; len]);
-            assert_eq!(d, expected, "or_and_into len={len}");
         }
     }
 

@@ -13,10 +13,11 @@
 //! plus the universe size `n` and a cached popcount. Set algebra
 //! ([`intersect`](VertexSubset::intersect), [`union`](VertexSubset::union),
 //! [`difference`](VertexSubset::difference), equality) runs word-parallel —
-//! 64 vertices per instruction plus hardware popcount — and
-//! [`degree_within`](VertexSubset::degree_within) becomes a row of `AND` +
-//! `popcnt` for vertices that own a hybrid adjacency-bitmap row (see
-//! [`AttributedGraph::adjacency_row`]). The member *list* is only materialised
+//! 64 vertices per instruction plus hardware popcount. Adjacency has one
+//! representation, the graph's CSR rows, so
+//! [`degree_within`](VertexSubset::degree_within) and the BFS of
+//! [`component_of`](VertexSubset::component_of) scan a vertex's neighbour
+//! list and test each neighbour's bit. The member *list* is only materialised
 //! lazily (ascending vertex order) when a caller asks for
 //! [`members`](VertexSubset::members).
 //!
@@ -226,30 +227,9 @@ impl VertexSubset {
         self.members.take();
     }
 
-    /// Degree of `v` counted inside the subset (neighbours that are members).
-    ///
-    /// Hybrid kernel: vertices whose degree clears the graph's adjacency-bitmap
-    /// threshold resolve with `popcount(adj_row & subset_words)` — `⌈n/64⌉`
-    /// `AND`+`popcnt` word operations regardless of degree — while the
-    /// low-degree tail falls back to the CSR scan
-    /// ([`degree_within_scalar`](Self::degree_within_scalar)).
+    /// Degree of `v` counted inside the subset (neighbours that are members):
+    /// a scan of `v`'s CSR row with one bit test per neighbour.
     pub fn degree_within(&self, graph: &AttributedGraph, v: VertexId) -> usize {
-        match graph.adjacency_row(v) {
-            Some(row) => {
-                // Hard assert: the scalar fallback panics on a foreign-universe
-                // subset, so the word path must not silently truncate either.
-                assert_eq!(row.len(), self.bits.len(), "subset over a different universe");
-                simd::and_popcount(row, &self.bits)
-            }
-            None => self.degree_within_scalar(graph, v),
-        }
-    }
-
-    /// The scalar reference kernel for [`degree_within`](Self::degree_within):
-    /// a per-neighbour CSR scan with individual bit tests. Kept public so the
-    /// equivalence proptests and the `peeling` microbenchmark can pin the
-    /// word-parallel path against it.
-    pub fn degree_within_scalar(&self, graph: &AttributedGraph, v: VertexId) -> usize {
         graph.neighbors(v).iter().filter(|&&u| self.contains(u)).count()
     }
 
@@ -262,11 +242,11 @@ impl VertexSubset {
     /// or `None` if `start` is not a member.
     ///
     /// Runs a frontier-bitset BFS: each round expands the whole frontier at
-    /// once, using word-parallel `row & subset & !visited` steps for
-    /// vertices with adjacency-bitmap rows and CSR scans for the rest. The
-    /// three round bitsets (`comp`, `frontier`, `next`) are checked out of the
-    /// per-thread [`crate::arena`], so steady-state calls allocate only the
-    /// returned subset.
+    /// once — a CSR scan per frontier vertex into `next`, then one word-wise
+    /// `next &= !comp` for the round. The three round bitsets (`comp`,
+    /// `frontier`, `next`) are checked out of the per-thread
+    /// [`crate::arena`], so steady-state calls allocate only the returned
+    /// subset.
     pub fn component_of(&self, graph: &AttributedGraph, start: VertexId) -> Option<VertexSubset> {
         if !self.contains(start) {
             return None;
@@ -283,16 +263,10 @@ impl VertexSubset {
             next.fill(0);
             let next_words: &mut [u64] = &mut next;
             simd::for_each_set_bit(&frontier, |i| {
-                let v = VertexId::from_index(i);
-                match graph.adjacency_row(v) {
-                    Some(row) => simd::or_and_into(next_words, row, &self.bits),
-                    None => {
-                        for &u in graph.neighbors(v) {
-                            if self.contains(u) {
-                                let i = u.index();
-                                next_words[i / 64] |= 1u64 << (i % 64);
-                            }
-                        }
+                for &u in graph.neighbors(VertexId::from_index(i)) {
+                    if self.contains(u) {
+                        let i = u.index();
+                        next_words[i / 64] |= 1u64 << (i % 64);
                     }
                 }
             });
@@ -445,7 +419,6 @@ mod tests {
         let a = g.vertex_by_label("A").unwrap();
         // A's neighbours are B, C, D, E; only B and C are members.
         assert_eq!(s.degree_within(&g, a), 2);
-        assert_eq!(s.degree_within_scalar(&g, a), 2);
         assert_eq!(s.induced_edge_count(&g), 3, "triangle A-B-C");
     }
 

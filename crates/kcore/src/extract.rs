@@ -9,7 +9,6 @@
 
 use crate::decompose::CoreDecomposition;
 use acq_graph::{arena, simd, AttributedGraph, VertexId, VertexSubset};
-use std::collections::VecDeque;
 
 /// The k-core `H_k` of the whole graph as a vertex subset: exactly the
 /// vertices whose core number is at least `k`.
@@ -26,8 +25,7 @@ pub fn kcore_subset(
 ///
 /// Materialises the eligible set (core number ≥ `k`) as a bitset — `O(n)`
 /// words of work, the same order as reading the decomposition — and then runs
-/// the frontier-bitset BFS of [`VertexSubset::component_of`], which expands
-/// high-degree vertices word-parallel through their adjacency-bitmap rows.
+/// the frontier-bitset BFS of [`VertexSubset::component_of`].
 pub fn connected_kcore_containing(
     graph: &AttributedGraph,
     decomposition: &CoreDecomposition,
@@ -44,12 +42,11 @@ pub fn connected_kcore_containing(
 /// degree ≥ `k` *within the result* — i.e. the k-core of the induced subgraph
 /// `G[subset]`.
 ///
-/// Word-parallel worklist peel: every round removes the entire frontier of
-/// under-degree vertices from the alive set with one word-wise `difference`,
-/// gathers the affected survivors (alive neighbours of removed vertices —
-/// through adjacency-bitmap rows where available), and batch-recomputes their
-/// in-subset degrees with the hybrid popcount kernel. Degrees of vertices that
-/// lost no neighbour are never touched again.
+/// Worklist peel over word bitsets: every round removes the entire frontier
+/// of under-degree vertices from the alive set with one word-wise
+/// `difference`, gathers the affected survivors (alive neighbours of removed
+/// vertices, by CSR scan), and batch-recomputes their in-subset degrees.
+/// Degrees of vertices that lost no neighbour are never touched again.
 ///
 /// All round state lives in three word buffers (`alive`, `frontier`,
 /// `affected`) checked out of the per-thread [`acq_graph::arena`] and reused
@@ -82,15 +79,9 @@ pub fn peel_to_kcore(graph: &AttributedGraph, subset: &VertexSubset, k: usize) -
         affected.fill(0);
         let affected_words: &mut [u64] = &mut affected;
         simd::for_each_set_bit(&frontier, |i| {
-            let v = VertexId::from_index(i);
-            match graph.adjacency_row(v) {
-                Some(row) => simd::or_and_into(affected_words, row, &alive),
-                None => {
-                    for &u in graph.neighbors(v) {
-                        if get_bit(&alive, u.index()) {
-                            set_bit(affected_words, u.index());
-                        }
-                    }
+            for &u in graph.neighbors(VertexId::from_index(i)) {
+                if get_bit(&alive, u.index()) {
+                    set_bit(affected_words, u.index());
                 }
             }
         });
@@ -110,15 +101,12 @@ pub fn peel_to_kcore(graph: &AttributedGraph, subset: &VertexSubset, k: usize) -
     VertexSubset::from_words(n, alive.to_vec())
 }
 
-/// In-subset degree of `v` against a raw word bitset — the same hybrid
-/// popcount-vs-CSR-scan kernel as [`VertexSubset::degree_within`], usable on
-/// the reusable scratch buffers of [`peel_to_kcore`].
+/// In-subset degree of `v` against a raw word bitset — the same CSR scan as
+/// [`VertexSubset::degree_within`], usable on the reusable scratch buffers of
+/// [`peel_to_kcore`].
 #[inline]
 fn degree_in_words(graph: &AttributedGraph, words: &[u64], v: VertexId) -> usize {
-    match graph.adjacency_row(v) {
-        Some(row) => simd::and_popcount(row, words),
-        None => graph.neighbors(v).iter().filter(|&&u| get_bit(words, u.index())).count(),
-    }
+    graph.neighbors(v).iter().filter(|&&u| get_bit(words, u.index())).count()
 }
 
 #[inline]
@@ -129,39 +117,6 @@ fn get_bit(words: &[u64], i: usize) -> bool {
 #[inline]
 fn set_bit(words: &mut [u64], i: usize) {
     words[i / 64] |= 1u64 << (i % 64);
-}
-
-/// The scalar reference implementation of [`peel_to_kcore`]: a vertex-at-a-time
-/// worklist with per-edge degree decrements and per-element bit tests (the
-/// pre-bitset code path). Kept public so the equivalence proptests and the
-/// `peeling` microbenchmark can pin the word-parallel kernel against it.
-pub fn peel_to_kcore_scalar(
-    graph: &AttributedGraph,
-    subset: &VertexSubset,
-    k: usize,
-) -> VertexSubset {
-    let n = graph.num_vertices();
-    let mut degree = vec![0usize; n];
-    for v in subset.iter() {
-        degree[v.index()] = subset.degree_within_scalar(graph, v);
-    }
-    let mut removed = vec![false; n];
-    let mut queue: VecDeque<VertexId> = subset.iter().filter(|&v| degree[v.index()] < k).collect();
-    for v in &queue {
-        removed[v.index()] = true;
-    }
-    while let Some(v) = queue.pop_front() {
-        for &u in graph.neighbors(v) {
-            if subset.contains(u) && !removed[u.index()] {
-                degree[u.index()] -= 1;
-                if degree[u.index()] < k {
-                    removed[u.index()] = true;
-                    queue.push_back(u);
-                }
-            }
-        }
-    }
-    VertexSubset::from_iter(n, subset.iter().filter(|v| !removed[v.index()]))
 }
 
 /// Like [`peel_to_kcore`] but additionally restricts the result to the

@@ -26,7 +26,7 @@ pub mod maintenance;
 pub use decompose::CoreDecomposition;
 pub use extract::{
     connected_kcore_containing, kcore_subset, may_contain_kcore, peel_to_kcore,
-    peel_to_kcore_containing, peel_to_kcore_scalar,
+    peel_to_kcore_containing,
 };
 pub use maintenance::MaintenanceOutcome;
 
@@ -95,8 +95,37 @@ mod proptests {
         core
     }
 
+    /// The scalar reference for [`peel_to_kcore`]: a vertex-at-a-time
+    /// worklist with per-edge degree decrements and per-element bit tests (the
+    /// pre-bitset code path).
+    fn peel_to_kcore_scalar(g: &AttributedGraph, subset: &VertexSubset, k: usize) -> VertexSubset {
+        let n = g.num_vertices();
+        let mut degree = vec![0usize; n];
+        for v in subset.iter() {
+            degree[v.index()] = subset.degree_within(g, v);
+        }
+        let mut removed = vec![false; n];
+        let mut queue: std::collections::VecDeque<VertexId> =
+            subset.iter().filter(|&v| degree[v.index()] < k).collect();
+        for v in &queue {
+            removed[v.index()] = true;
+        }
+        while let Some(v) = queue.pop_front() {
+            for &u in g.neighbors(v) {
+                if subset.contains(u) && !removed[u.index()] {
+                    degree[u.index()] -= 1;
+                    if degree[u.index()] < k {
+                        removed[u.index()] = true;
+                        queue.push_back(u);
+                    }
+                }
+            }
+        }
+        VertexSubset::from_iter(n, subset.iter().filter(|v| !removed[v.index()]))
+    }
+
     /// Strategy: a graph plus an arbitrary subset of its vertices, for the
-    /// scalar-vs-word peeling equivalence properties.
+    /// scalar-vs-word peeling equivalence property.
     fn arb_graph_and_subset() -> impl Strategy<Value = (AttributedGraph, VertexSubset)> {
         arb_graph().prop_flat_map(|g| {
             let n = g.num_vertices();

@@ -1,6 +1,6 @@
 //! The live-update pipeline (Section 5.2.2 / Appendix F): graph deltas flow
 //! into a **serving** engine through [`Engine::apply_updates`], which stages
-//! the updated graph with incremental CSR/bitmap edits, runs every edge delta
+//! the updated graph with incremental CSR edits, runs every edge delta
 //! through the subcore kernels, rebuilds the CL-tree skeleton at most once
 //! per batch, and publishes graph and index atomically — queries in flight
 //! finish on their snapshot, queries after the swap see the new graph.

@@ -3,8 +3,8 @@
 //! `Engine::apply_updates` must produce **byte-identical** query results to a
 //! from-scratch engine built on the updated graph, whichever plan (stable
 //! skeleton, one skeleton rebuild, one full build) the batch ends in.
-//! Universe sizes straddle the 64-bit word boundary so the incremental bitmap
-//! maintenance hits its promotion/rebuild edge cases.
+//! Universe sizes straddle the 64-bit word boundary so vertex inserts grow
+//! the subset bitsets by a word mid-sequence.
 
 use attributed_community_search::prelude::*;
 use proptest::prelude::*;
